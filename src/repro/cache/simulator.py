@@ -66,6 +66,8 @@ class BlockCacheSimulator:
         "_by_file",
         "_known_size",
         "_now",
+        "_flush_epoch",
+        "_next_flush",
     )
 
     def __init__(
@@ -78,6 +80,7 @@ class BlockCacheSimulator:
         invalidate_on_delete: bool = True,
         track_residency: bool = False,
         track_exposure: bool = False,
+        flush_epoch: float | None = None,
     ):
         if block_size <= 0:
             raise ValueError(f"block size must be positive, got {block_size}")
@@ -103,6 +106,13 @@ class BlockCacheSimulator:
         self._by_file: dict[int, set[int]] = {}
         self._known_size: dict[int, int] = {}
         self._now = 0.0
+        # The flush-back schedule of the per-access entry points
+        # (:meth:`transfer`, :meth:`invalidate`), kept across calls and
+        # anchored at *flush_epoch* — the trace start, as
+        # :func:`simulate_cache` anchors :meth:`run` — or, if None, at
+        # the first call's time.  :meth:`run` keeps its own schedule.
+        self._flush_epoch = flush_epoch
+        self._next_flush: float | None = None
 
     # -- cache bookkeeping ----------------------------------------------------
 
@@ -152,12 +162,63 @@ class BlockCacheSimulator:
 
     # -- stream item processing ------------------------------------------------
 
-    def _invalidate(self, inval: Invalidation) -> None:
-        known = self._known_size.get(inval.file_id, 0)
-        self._known_size[inval.file_id] = min(known, inval.from_byte)
+    def _invalidate(self, file_id: int, from_byte: int) -> None:
+        known = self._known_size.get(file_id, 0)
+        self._known_size[file_id] = min(known, from_byte)
         if not self.invalidate_on_delete:
             return
-        self.drop_file(inval.file_id, inval.from_byte)
+        self.drop_file(file_id, from_byte)
+
+    # -- per-access entry points (one stream item per call) ---------------------
+
+    def _flush_due(self, now: float) -> None:
+        """Run every flush-back scan scheduled at or before *now*."""
+        interval = self.policy.flush_interval
+        next_flush = self._next_flush
+        if next_flush is None:
+            epoch = self._flush_epoch
+            next_flush = (now if epoch is None else epoch) + interval
+        while now >= next_flush:
+            self._flush()
+            next_flush += interval
+        self._next_flush = next_flush
+
+    def transfer(
+        self, file_id: int, start: int, end: int, is_write: bool, now: float
+    ) -> None:
+        """Apply one billed transfer of bytes ``[start, end)`` at *now*.
+
+        The per-access entry point for callers that interleave the cache
+        with other work (the netfs client and server, the two-level
+        client caches): the same semantics as :meth:`run` over the
+        equivalent :class:`~repro.analysis.accesses.Transfer`, without
+        its per-call setup.  Calls must come in time order; the
+        flush-back schedule carries over from call to call (see
+        *flush_epoch*), so one sequence of ``transfer``/:meth:`invalidate`
+        calls over a stream gives ``run(stream, flush_epoch=epoch)``'s
+        counters exactly.
+        """
+        self._now = now
+        if self.policy.flush_interval is not None:
+            self._flush_due(now)
+        bs = self.block_size
+        known = self._known_size.get(file_id, 0)
+        access = self._access
+        for block in range(start // bs, (end - 1) // bs + 1):
+            block_start = block * bs
+            covered = (
+                start <= block_start and end >= block_start + bs
+            ) or block_start >= known  # nothing on disk beyond EOF
+            access(file_id, block, is_write, covered)
+        if end > known:
+            self._known_size[file_id] = end
+
+    def invalidate(self, file_id: int, from_byte: int, now: float) -> None:
+        """Apply one :class:`Invalidation` at *now* (see :meth:`transfer`)."""
+        self._now = now
+        if self.policy.flush_interval is not None:
+            self._flush_due(now)
+        self._invalidate(file_id, from_byte)
 
     # -- external cache control (used by the netfs consistency layer) ----------
 
@@ -258,9 +319,9 @@ class BlockCacheSimulator:
         start — what a real kernel's periodic ``sync`` daemon does (it
         runs on wall-clock ticks, not relative to the first write).  The
         sweeps and :func:`simulate_cache` anchor to the trace start; the
-        default ``None`` keeps the legacy first-item anchoring for
-        backward compatibility with incremental callers that replay one
-        item at a time.
+        default ``None`` keeps the legacy first-item anchoring.  The
+        schedule lives for one call, so a caller that replays one item
+        at a time uses :meth:`transfer` and :meth:`invalidate` instead.
         """
         bs = self.block_size
         flushing = self.policy.policy is WritePolicy.FLUSH_BACK
@@ -282,7 +343,7 @@ class BlockCacheSimulator:
                     self._flush()
                     next_flush += self.policy.flush_interval
             if isinstance(item, Invalidation):
-                self._invalidate(item)
+                self._invalidate(item.file_id, item.from_byte)
                 continue
             known = self._known_size.get(item.file_id, 0)
             first = item.start // bs

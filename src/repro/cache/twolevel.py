@@ -128,6 +128,7 @@ def simulate_two_level(
                 cache_bytes=client_cache_bytes,
                 block_size=block_size,
                 policy=client_policy,
+                flush_epoch=log.start_time,
             )
         return sim
 
@@ -139,14 +140,30 @@ def simulate_two_level(
         if isinstance(item, Invalidation):
             # Broadcast: every cache drops the dead blocks (callback-style
             # consistency); the server does too, below, via its own stream.
-            for sim in clients.values():
-                sim._invalidate(item)  # noqa: SLF001 (simulation internals)
+            # A flush-back scan that falls due first ships its blocks to
+            # the server ahead of the invalidation; like write-backs below,
+            # they are billed against the item at hand.
+            for user_id, sim in clients.items():
+                before_writes = sim.metrics.disk_writes
+                sim.invalidate(item.file_id, item.from_byte, item.time)
+                flushed = sim.metrics.disk_writes - before_writes
+                if flushed:
+                    server_stream.append(
+                        Transfer(
+                            time=item.time,
+                            file_id=item.file_id,
+                            user_id=user_id,
+                            start=0,
+                            end=flushed * block_size,
+                            is_write=True,
+                        )
+                    )
             server_stream.append(item)
             continue
         sim = client_for(item.user_id)
         before_reads = sim.metrics.disk_reads
         before_writes = sim.metrics.disk_writes
-        sim.run([item])
+        sim.transfer(item.file_id, item.start, item.end, item.is_write, item.time)
         fetched = sim.metrics.disk_reads - before_reads
         written_back = sim.metrics.disk_writes - before_writes
         # Client misses become server reads; write-backs server writes.

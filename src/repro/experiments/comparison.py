@@ -6,20 +6,47 @@ headline numbers similar.  This experiment re-makes that argument around
 whatever trace it is given: it synthesizes companion traces for the other
 two machine profiles — in parallel across processes when a ``--jobs``
 context is active — and renders all three side by side.
+
+The companion traces come from :func:`companion_traces`, which
+``table6rev`` shares: both exhibits see the same traces, generated once
+per input log, and the second one reuses the item and packed streams the
+first built for them.
 """
 
 from __future__ import annotations
 
 from ..analysis.comparison import headline, render_comparison
 from ..trace.log import TraceLog
+from ..trace.memo import memoize_per_log
 from ..workload.generator import generate_many
 from ..workload.profiles import UCBARPA, UCBCAD, UCBERNIE
 from .base import ExperimentResult, register
+
+__all__ = ["companion_traces"]
 
 _MACHINES = (UCBARPA, UCBERNIE, UCBCAD)
 
 #: Seed for the synthesized companion traces (arbitrary but fixed).
 _COMPANION_SEED = 7
+
+
+def companion_traces(log: TraceLog) -> tuple[TraceLog, ...]:
+    """Synthesized traces of the paper machines other than *log*'s.
+
+    Long enough to be meaningful, short enough that an exhibit stays
+    interactive even when the input trace spans days: *log*'s duration
+    clamped to 10-30 minutes.  Memoized per *log*, so every exhibit that
+    sets *log* beside the other machines shares one set of traces.
+    """
+
+    def build() -> tuple[TraceLog, ...]:
+        duration = min(max(log.duration, 600.0), 1800.0)
+        others = [p for p in _MACHINES if p.trace_name != log.name]
+        return tuple(
+            generate_many([(p, _COMPANION_SEED) for p in others], duration=duration)
+        )
+
+    return memoize_per_log(log, "companion_traces", build)
 
 
 @register(
@@ -31,14 +58,7 @@ _COMPANION_SEED = 7
     "cache numbers agree across ucbarpa, ucbernie and ucbcad",
 )
 def run(log: TraceLog) -> ExperimentResult:
-    # Companion traces long enough to be meaningful, short enough that the
-    # experiment stays interactive even when the input trace spans days.
-    duration = min(max(log.duration, 600.0), 1800.0)
-    others = [p for p in _MACHINES if p.trace_name != log.name]
-    companions = generate_many(
-        [(p, _COMPANION_SEED) for p in others], duration=duration
-    )
-    logs = [log, *companions]
+    logs = [log, *companion_traces(log)]
     heads = [headline(entry) for entry in logs]
     return ExperimentResult(
         experiment_id="section7",

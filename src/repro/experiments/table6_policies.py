@@ -7,6 +7,10 @@ three paper machines plus a modern strace-captured compile pipeline.
 Every cell is an exact packed replay (:func:`replay_packed`) — the
 non-LRU zoo policies are replay-only, so the numpy curve kernel
 declines them and both engines answer identically (DESIGN.md §16).
+
+The two companion machine traces are ``section7``'s: both exhibits take
+them from :func:`~repro.experiments.comparison.companion_traces`, which
+generates them once per input log.
 """
 
 from __future__ import annotations
@@ -19,14 +23,8 @@ from ..parallel.packed import cached_packed_stream
 from ..parallel.veccache import replay_packed
 from ..strace import convert_calls, parse_lines
 from ..trace.log import TraceLog
-from ..workload.generator import generate_many
-from ..workload.profiles import UCBARPA, UCBCAD, UCBERNIE
 from .base import ExperimentResult, register
-
-_MACHINES = (UCBARPA, UCBERNIE, UCBCAD)
-
-#: Seed for the synthesized companion traces (matches section7's).
-_COMPANION_SEED = 7
+from .comparison import companion_traces
 
 #: The ranking cache sizes: the paper's smallest (390 kbytes), its
 #: headline 2 Mbytes, and a large 8 Mbytes where policies converge.
@@ -175,12 +173,7 @@ def _render(grids: dict[str, dict[str, dict[int, float]]]) -> str:
     "whether that conclusion survives the replacement policy changing",
 )
 def run(log: TraceLog) -> ExperimentResult:
-    duration = min(max(log.duration, 600.0), 1800.0)
-    others = [p for p in _MACHINES if p.trace_name != log.name]
-    companions = generate_many(
-        [(p, _COMPANION_SEED) for p in others], duration=duration
-    )
-    workloads = [log, *companions, _strace_workload()]
+    workloads = [log, *companion_traces(log), _strace_workload()]
     grids = {wl.name: _grid(wl) for wl in workloads}
     return ExperimentResult(
         experiment_id="table6rev",

@@ -83,7 +83,9 @@ class Workstation:
 
         before_reads = self.cache.metrics.disk_reads
         before_writes = self.cache.metrics.disk_writes
-        self.cache.run([item])
+        self.cache.transfer(
+            item.file_id, item.start, item.end, item.is_write, item.time
+        )
         fetched = self.cache.metrics.disk_reads - before_reads
         written_back = self.cache.metrics.disk_writes - before_writes
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from ..analysis.accesses import Transfer
 from ..cache.policies import DELAYED_WRITE, PolicySpec
 from ..cache.simulator import BlockCacheSimulator
 from ..disk.model import FUJITSU_EAGLE, DiskModel
@@ -102,16 +101,9 @@ class FileServer:
     def _service_time(self, rpc: "Rpc") -> float:
         """CPU overhead plus a disk visit for every server-cache miss."""
         before = self.cache.metrics.disk_ios
-        self.cache.run([
-            Transfer(
-                time=self.loop.now,
-                file_id=rpc.file_id,
-                user_id=rpc.client_id,
-                start=rpc.start,
-                end=rpc.end,
-                is_write=rpc.is_write,
-            )
-        ])
+        self.cache.transfer(
+            rpc.file_id, rpc.start, rpc.end, rpc.is_write, self.loop.now
+        )
         misses = self.cache.metrics.disk_ios - before
         disk_time = misses * self.disk.service_time(self.block_size)
         self.disk_busy_seconds += disk_time

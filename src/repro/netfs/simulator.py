@@ -184,9 +184,7 @@ def simulate_netfs(
         else:
             stations[station_of[item.user_id]].submit(item)
 
-    for item in stream:
-        loop.schedule(item.time, dispatch, item)
-    end_time = loop.run()
+    end_time = loop.run(arrivals=stream, dispatch=dispatch)
 
     duration = max(log.duration, end_time)
 

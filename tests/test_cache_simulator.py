@@ -1,18 +1,22 @@
 """Tests for the block-cache simulator: hand-computed tiny scenarios."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.analysis.accesses import Transfer
 from repro.cache.metrics import ResidencyTracker
 from repro.cache.policies import (
     DELAYED_WRITE,
+    FLUSH_5MIN,
     FLUSH_30S,
     PolicySpec,
     WRITE_THROUGH,
     WritePolicy,
 )
+from repro.cache.replacement import REPLACEMENT_NAMES
 from repro.cache.simulator import BlockCacheSimulator
-from repro.cache.stream import Invalidation
+from repro.cache.stream import Invalidation, cached_stream
 
 BS = 4096
 
@@ -201,6 +205,74 @@ class TestResidency:
         tracker.record(10.0)
         tracker.finish([2000.0])
         assert tracker.fraction_longer_than(1200) == pytest.approx(0.5)
+
+
+class TestPerAccessEntryPoint:
+    """``transfer``/``invalidate``: one stream item per call, with
+    :meth:`BlockCacheSimulator.run` as the reference."""
+
+    def test_flush_back_driven_one_access_at_a_time_flushes(self):
+        # Regression: driving a flush-back cache through run([item]) once
+        # per access re-anchors the scan schedule on every call, so it
+        # never flushes and reads exactly like delayed-write.
+        legacy = sim(policy=FLUSH_30S)
+        for item in (write(1, 1, 0, BS), read(40, 2, 0, BS)):
+            legacy.run([item])
+        assert legacy.metrics.disk_writes == 0
+
+        s = sim(policy=FLUSH_30S, flush_epoch=0.0)
+        s.transfer(1, 0, BS, True, 1.0)
+        s.transfer(2, 0, BS, False, 40.0)  # the 30 s scan ran first
+        assert s.metrics.disk_writes == 1
+        assert s.metrics.read_accesses == 1
+
+    def test_flush_schedule_defaults_to_first_call(self):
+        s = sim(policy=FLUSH_30S)
+        s.transfer(1, 0, BS, True, 100.0)
+        s.transfer(2, 0, BS, False, 129.0)
+        assert s.metrics.disk_writes == 0
+        s.transfer(2, 0, BS, False, 130.0)
+        assert s.metrics.disk_writes == 1
+
+    def test_invalidate_runs_a_due_scan_first(self):
+        s = sim(policy=FLUSH_30S, flush_epoch=0.0)
+        s.transfer(1, 0, BS, True, 1.0)
+        s.invalidate(1, 0, 31.0)  # written at the 30 s scan, then dropped
+        assert s.metrics.disk_writes == 1
+        assert s.metrics.invalidated_blocks == 1
+        assert s.metrics.dirty_blocks_discarded == 0
+
+
+@pytest.mark.parametrize("replacement", REPLACEMENT_NAMES)
+@pytest.mark.parametrize(
+    "policy",
+    [WRITE_THROUGH, FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE],
+    ids=lambda p: p.label,
+)
+def test_entry_point_matches_run(small_trace, policy, replacement):
+    """Replaying a stream one item at a time through the per-access entry
+    points gives ``run(stream, flush_epoch=start)``'s counters exactly."""
+    stream = cached_stream(small_trace)
+    start = small_trace.start_time
+    for cache_bytes in (399360, 2 * 1024 * 1024):
+        reference = BlockCacheSimulator(
+            cache_bytes, BS, policy, replacement=replacement
+        )
+        reference.run(stream, flush_epoch=start)
+        stepped = BlockCacheSimulator(
+            cache_bytes, BS, policy, replacement=replacement, flush_epoch=start
+        )
+        for item in stream:
+            if isinstance(item, Invalidation):
+                stepped.invalidate(item.file_id, item.from_byte, item.time)
+            else:
+                stepped.transfer(
+                    item.file_id, item.start, item.end, item.is_write, item.time
+                )
+        for field in fields(reference.metrics):
+            assert getattr(stepped.metrics, field.name) == getattr(
+                reference.metrics, field.name
+            ), (cache_bytes, field.name)
 
 
 class TestValidation:

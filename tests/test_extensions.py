@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.popularity import analyze_popularity
 from repro.cache.metrics import CacheMetrics
-from repro.cache.policies import DELAYED_WRITE, WRITE_THROUGH
+from repro.cache.policies import DELAYED_WRITE, FLUSH_30S, WRITE_THROUGH
 from repro.cache.simulator import simulate_cache
 from repro.cache.twolevel import simulate_two_level
 from repro.disk.model import FUJITSU_EAGLE, DiskModel, DiskTimeEstimate
@@ -97,6 +97,22 @@ class TestTwoLevel:
         dw = simulate_two_level(medium_trace, client_policy=DELAYED_WRITE)
         assert dw.client_metrics.disk_writes < wt.client_metrics.disk_writes
         assert dw.network_blocks < wt.network_blocks
+
+    def test_flush_back_clients_flush(self, medium_trace):
+        # Regression: each client cache is driven one access at a time;
+        # flush-back clients used to never flush and gave exactly the
+        # delayed-write numbers.
+        fb = simulate_two_level(medium_trace, client_policy=FLUSH_30S)
+        dw = simulate_two_level(medium_trace, client_policy=DELAYED_WRITE)
+        assert fb.client_metrics.disk_writes > dw.client_metrics.disk_writes
+        # Every block a client fetches or writes back reaches the server.
+        for result in (fb, dw):
+            assert result.server_metrics.read_accesses == (
+                result.client_metrics.disk_reads
+            )
+            assert result.server_metrics.write_accesses == (
+                result.client_metrics.disk_writes
+            )
 
     def test_bigger_client_caches_cut_network_traffic(self, medium_trace):
         small = simulate_two_level(medium_trace, client_cache_bytes=128 * 1024)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.cache.simulator import BlockCacheSimulator
@@ -21,6 +23,12 @@ from repro.trace.records import AccessMode, CloseEvent, OpenEvent, UnlinkEvent
 # ---------------------------------------------------------------------------
 # Event engine
 # ---------------------------------------------------------------------------
+
+
+class Arrival(NamedTuple):
+    time: float
+    name: str
+
 
 
 class TestEventLoop:
@@ -89,6 +97,77 @@ class TestEventLoop:
         handle.cancel()
         loop.run()
         assert loop.events_fired == 1
+
+    # -- the merged arrival stream ---------------------------------------------
+
+    @staticmethod
+    def _arrivals(*times: float) -> list[Arrival]:
+        return [Arrival(t, f"arrival@{t:g}#{i}") for i, t in enumerate(times)]
+
+    def test_arrival_fires_before_scheduled_event_at_same_time(self):
+        loop = EventLoop()
+        fired: list[str] = []
+        loop.schedule(1.0, fired.append, "scheduled")
+
+        def dispatch(item: Arrival) -> None:
+            fired.append(item.name)
+            if item.name == "arrival@1#0":
+                # Scheduled while running, for the same instant: it still
+                # waits behind the second arrival at that time.
+                loop.schedule(1.0, fired.append, "scheduled-later")
+
+        loop.run(arrivals=self._arrivals(1.0, 1.0, 2.0), dispatch=dispatch)
+        assert fired == [
+            "arrival@1#0",
+            "arrival@1#1",
+            "scheduled",
+            "scheduled-later",
+            "arrival@2#2",
+        ]
+
+    def test_cancelled_handle_never_fires_with_arrivals(self):
+        loop = EventLoop()
+        fired: list[str] = []
+        handle = loop.schedule(2.0, fired.append, "dead")
+
+        def dispatch(item: Arrival) -> None:
+            fired.append(item.name)
+            handle.cancel()
+
+        end = loop.run(arrivals=self._arrivals(1.0, 3.0), dispatch=dispatch)
+        assert fired == ["arrival@1#0", "arrival@3#1"]
+        assert end == 3.0
+
+    def test_until_stops_with_arrivals_pending(self):
+        loop = EventLoop()
+        fired: list[str] = []
+
+        def dispatch(item: Arrival) -> None:
+            fired.append(item.name)
+
+        loop.schedule(4.0, fired.append, "scheduled")
+        loop.run(
+            until=6.0, arrivals=self._arrivals(1.0, 5.0, 10.0), dispatch=dispatch
+        )
+        assert fired == ["arrival@1#0", "scheduled", "arrival@5#1"]
+        assert loop.now == 5.0
+        loop.run()  # the pending arrival is picked up
+        assert fired[-1] == "arrival@10#2"
+        assert loop.now == 10.0
+
+    def test_events_fired_counts_arrivals(self):
+        loop = EventLoop()
+        loop.schedule(0.5, lambda: None)
+        loop.schedule(1.5, lambda: None).cancel()
+        loop.run(arrivals=self._arrivals(1.0, 2.0, 3.0), dispatch=lambda item: None)
+        assert loop.events_fired == 4
+
+    def test_arrival_stream_must_be_in_time_order(self):
+        loop = EventLoop()
+        with pytest.raises(ValueError):
+            loop.run(arrivals=self._arrivals(2.0, 1.0), dispatch=lambda item: None)
+        with pytest.raises(ValueError):
+            EventLoop().run(arrivals=self._arrivals(1.0))  # no dispatch
 
 
 # ---------------------------------------------------------------------------
