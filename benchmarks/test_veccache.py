@@ -7,7 +7,8 @@ Two jobs ride here, mirroring ``test_parallel.py``:
   (~320 tracked sizes; the grids Figure 5-style exhibits actually
   want), while staying *bit-identical* at every size; and the
   write-through sweep must run at least 3x faster at ``jobs=4`` with
-  shared ``.bpack`` streams than the serial reference path.  Both are
+  shared ``.bpack`` streams than the serial reference (one
+  ``BlockCacheSimulator`` run per cell).  Both are
   asserted, not just measured.  Measured on the bench trace: the curve
   kernel lands ~20x and the sweep ~40x (numpy) / ~12x (python
   workers), so the bars leave generous noise margin.
@@ -29,6 +30,8 @@ import time
 import pytest
 
 from repro.cache.policies import WRITE_THROUGH
+from repro.cache.simulator import BlockCacheSimulator
+from repro.cache.stream import cached_stream
 from repro.cache.sweep import cache_size_policy_sweep
 from repro.parallel.packed import cached_packed_stream
 from repro.parallel.stack import simulate_stack
@@ -116,17 +119,28 @@ def _wt_sweep(trace, jobs, engine=None, pack_dir=None):
     )
 
 
+def _reference_wt_sweep(trace):
+    """The same cells through the reference simulator, one run each."""
+    stream = cached_stream(trace)
+    return {
+        (size, WRITE_THROUGH.label): BlockCacheSimulator(
+            cache_bytes=size, policy=WRITE_THROUGH
+        ).run(stream, flush_epoch=trace.start_time)
+        for size in WT_SWEEP_SIZES
+    }
+
+
 def test_veccache_sweep_bpack_python(trace, benchmark, tmp_path):
     """Acceptance + gate: >= 3x at jobs=4 with shared ``.bpack`` streams,
     Python workers (both legs)."""
-    _wt_sweep(trace, 1)  # warm memos
+    _reference_wt_sweep(trace)  # warm memos
     _wt_sweep(trace, 4, engine="python", pack_dir=tmp_path)
 
-    t_serial, serial = _best_of(lambda: _wt_sweep(trace, 1))
+    t_serial, serial = _best_of(lambda: _reference_wt_sweep(trace))
     t_fast, fast = _best_of(
         lambda: _wt_sweep(trace, 4, engine="python", pack_dir=tmp_path)
     )
-    assert fast.results == serial.results, "bpack sweep diverged"
+    assert fast.results == serial, "bpack sweep diverged"
     speedup = t_serial / t_fast
     print(f"serial {t_serial * 1e3:.1f} ms  jobs=4+bpack {t_fast * 1e3:.1f} ms  "
           f"speedup {speedup:.1f}x")
@@ -149,18 +163,18 @@ def test_veccache_sweep_bpack_python(trace, benchmark, tmp_path):
 def test_veccache_sweep_bpack_numpy(trace, benchmark, tmp_path):
     """Acceptance + gate: the numpy engine on the same sweep — >= 3x over
     serial, and faster than the Python workers it replaces."""
-    _wt_sweep(trace, 1)  # warm memos
+    _reference_wt_sweep(trace)  # warm memos
     _wt_sweep(trace, 4, engine="numpy", pack_dir=tmp_path)
     _wt_sweep(trace, 4, engine="python", pack_dir=tmp_path)
 
-    t_serial, serial = _best_of(lambda: _wt_sweep(trace, 1))
+    t_serial, serial = _best_of(lambda: _reference_wt_sweep(trace))
     t_python, _ = _best_of(
         lambda: _wt_sweep(trace, 4, engine="python", pack_dir=tmp_path)
     )
     t_fast, fast = _best_of(
         lambda: _wt_sweep(trace, 4, engine="numpy", pack_dir=tmp_path)
     )
-    assert fast.results == serial.results, "numpy sweep diverged"
+    assert fast.results == serial, "numpy sweep diverged"
     speedup = t_serial / t_fast
     vs_python = t_python / t_fast
     print(f"serial {t_serial * 1e3:.1f} ms  python {t_python * 1e3:.1f} ms  "

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cache.policies import DELAYED_WRITE
-from ..cache.simulator import simulate_cache
+from ..cache.sweep import simulate_cache
 from ..trace.log import TraceLog
 from .onepass import analyze_onepass
 from .report import render_table

@@ -27,11 +27,11 @@ Two semantics knobs exist purely for the ablation benchmarks:
 
 from __future__ import annotations
 
-from ..trace.log import TraceLog
 from .metrics import CacheMetrics, ExposureTracker, ResidencyTracker
 from .policies import DELAYED_WRITE, PolicySpec, WritePolicy
 from .replacement import make_replacement
-from .stream import Invalidation, StreamItem, cached_stream
+from .stream import Invalidation, StreamItem
+from .sweep import simulate_cache  # re-exported: it lives by the planner
 
 __all__ = ["BlockCacheSimulator", "simulate_cache"]
 
@@ -366,24 +366,3 @@ class BlockCacheSimulator:
             )
         return self.metrics
 
-
-def simulate_cache(
-    log: TraceLog,
-    cache_bytes: int,
-    block_size: int = 4096,
-    policy: PolicySpec = DELAYED_WRITE,
-    include_paging: bool = False,
-    **kwargs,
-) -> CacheMetrics:
-    """Convenience one-shot: build the stream from *log* and simulate.
-
-    The stream is memoized per log (see :func:`cached_stream`) and the
-    flush-back schedule is anchored at the trace start.
-    """
-    sim = BlockCacheSimulator(
-        cache_bytes=cache_bytes, block_size=block_size, policy=policy, **kwargs
-    )
-    return sim.run(
-        cached_stream(log, include_paging=include_paging),
-        flush_epoch=log.start_time,
-    )

@@ -1,26 +1,28 @@
 """Parameter sweeps over the cache simulator (Figures 5–7, Tables VI–VII).
 
-Each sweep decomposes into independent (stream, configuration) jobs.
-With ``jobs=1`` (the default) every configuration runs through the
-reference :class:`BlockCacheSimulator` in-process — the oracle path,
-whatever the engine.  With ``jobs>1`` the stream is compiled once per
-block size into a :class:`~repro.parallel.packed.PackedStream`,
-write-through columns collapse into a single one-pass curve
-(:func:`~repro.parallel.veccache.stack_curve` — the numpy kernel when
-the engine allows, else :func:`~repro.parallel.stack.simulate_stack`),
-and the remaining configurations replay the packed stream on a process
-pool (:func:`~repro.parallel.executor.run_jobs`).  All paths produce
-bit-identical metrics (asserted by ``tests/test_parallel.py`` and
-``tests/test_veccache.py``); results come back as small dataclasses
-with ``render()`` methods that print the paper's table layouts.
+Every sweep, and :func:`simulate_cache`, is a list of :class:`SweepCell`
+configurations handed to one planner, :func:`run_cells`.  The planner
+compiles each (paging variant, block size) stream once into a
+:class:`~repro.parallel.packed.PackedStream`, drops duplicate cells,
+folds the write-through/LRU cells of each stream into a single one-pass
+curve (:func:`~repro.parallel.veccache.stack_curve`), and replays every
+other cell over its packed stream
+(:func:`~repro.parallel.veccache.replay_packed`).  *jobs* only decides
+where those jobs run — in-process at 1, on a process pool otherwise
+(:func:`~repro.parallel.executor.run_jobs`) — never which algorithm
+answers a cell.  The reference :class:`BlockCacheSimulator` stays the
+differential oracle: ``tests/test_parallel.py`` and
+``tests/test_veccache.py`` assert every cell of every sweep equals it
+bit for bit.  Results come back as small dataclasses with ``render()``
+methods that print the paper's table layouts.
 
-*engine* selects the worker-side kernels (``None`` defers to the
-ambient :func:`~repro.trace.npview.engine_context`); *pack_dir* spills
-each compiled stream to a shared ``.bpack`` file so the payload workers
+*engine* selects the kernels (``None`` defers to the ambient
+:func:`~repro.trace.npview.engine_context`); *pack_dir* spills each
+compiled stream to a shared ``.bpack`` file so the payload workers
 receive is a path, not pickled arrays — every process maps the same
 page-cache copy (see :mod:`repro.parallel.bpack`).
 
-Flush-back scans are anchored at the trace start in both paths (see
+Flush-back scans are anchored at the trace start (see
 :meth:`BlockCacheSimulator.run` on why).
 """
 
@@ -28,12 +30,14 @@ from __future__ import annotations
 
 import os
 import re
+import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..analysis.report import render_table
 from ..parallel.bpack import cached_bpack, write_bpack
-from ..parallel.executor import resolve_jobs, run_jobs
+from ..parallel.executor import run_jobs
 from ..parallel.packed import PackedStream, cached_packed_stream
 from ..parallel.veccache import replay_packed, stack_curve
 from ..trace.log import TraceLog
@@ -48,14 +52,16 @@ from .policies import (
     WritePolicy,
 )
 from .replacement import current_replacement, validate_replacement
-from .simulator import BlockCacheSimulator
-from .stream import StreamItem, Transfer, cached_stream
+from .stream import StreamItem, Transfer
 
 __all__ = [
     "PAPER_CACHE_SIZES",
     "PAPER_POLICIES",
     "PAPER_BLOCK_SIZES",
     "PAPER_BLOCK_SWEEP_CACHES",
+    "SweepCell",
+    "run_cells",
+    "simulate_cache",
     "CachePolicySweep",
     "BlockSizeSweep",
     "PagingComparison",
@@ -97,32 +103,71 @@ def _size_label(nbytes: int) -> str:
     return f"{nbytes // 1024} kbytes"
 
 
-def _sweep_worker(payload, job):
-    """One sweep job: a packed replay or a whole stack curve.
+@dataclass(frozen=True)
+class SweepCell:
+    """One cache configuration to replay a trace through.
 
-    Module-level so the executor can ship it to worker processes.  Jobs
-    are ``("sim", packkey, cache_bytes, policy, replacement)`` returning
-    one :class:`CacheMetrics`, or ``("stack", packkey, sizes)`` returning
-    one metrics object per size (write-through LRU only — the one
-    configuration family the Mattson curve answers).  Both dispatch through
-    the engine-aware front doors, so a worker runs the numpy kernels
-    exactly when the payload's engine allows.
+    *paging* picks the stream variant (execve page-ins included or
+    not); the remaining fields are the :class:`BlockCacheSimulator`
+    constructor arguments the replay honours.
     """
-    packed = payload["packed"][job[1]]
+
+    cache_bytes: int
+    policy: PolicySpec = DELAYED_WRITE
+    block_size: int = 4096
+    replacement: str = "lru"
+    paging: bool = False
+    read_elision: bool = True
+    invalidate_on_delete: bool = True
+
+    @property
+    def stream(self) -> tuple[bool, int]:
+        """The packed stream this cell replays: (paging, block size)."""
+        return (self.paging, self.block_size)
+
+    @property
+    def on_curve(self) -> bool:
+        """Write-through LRU: one point of its stream's stack curve."""
+        return (
+            self.policy.policy is WritePolicy.WRITE_THROUGH
+            and self.replacement == "lru"
+        )
+
+
+def _sweep_worker(payload, job):
+    """One planner job: a whole stack curve, or one packed replay.
+
+    Module-level so the executor can ship it to worker processes.  A job
+    is ``(curve, cells)``: a curve job answers every cell of its group
+    (write-through LRU cells of one stream sharing the knobs) from one
+    pass; a replay job holds one cell.  Returns one
+    :class:`CacheMetrics` per cell, in order.
+    """
+    curve, cells = job
+    first = cells[0]
+    packed = payload["packed"][first.stream]
     engine = payload["engine"]
-    if job[0] == "stack":
-        sizes = job[2]
-        curve = stack_curve(packed, sizes, engine=engine)
-        return [curve.metrics(size) for size in sizes]
-    _, _, cache_bytes, policy, replacement = job
-    return replay_packed(
-        packed,
-        cache_bytes,
-        policy,
-        replacement=replacement,
-        flush_epoch=packed.start_time,
-        engine=engine,
-    ).metrics
+    if curve:
+        result = stack_curve(
+            packed,
+            tuple(dict.fromkeys(cell.cache_bytes for cell in cells)),
+            read_elision=first.read_elision,
+            invalidate_on_delete=first.invalidate_on_delete,
+            engine=engine,
+        )
+        return [result.metrics(cell.cache_bytes) for cell in cells]
+    return [
+        replay_packed(
+            packed,
+            first.cache_bytes,
+            first.policy,
+            replacement=first.replacement,
+            read_elision=first.read_elision,
+            invalidate_on_delete=first.invalidate_on_delete,
+            flush_epoch=packed.start_time,
+            engine=engine,
+        ).metrics
+    ]
 
 
 class _SweepPayload:
@@ -168,15 +213,17 @@ def _pack_ref(packed: PackedStream, pack_dir, trace_name: str):
     """*packed* itself, or its path inside the shared ``.bpack`` cache.
 
     Filenames carry the trace name, the block size, the row count and a
-    content crc, so a stale or colliding cache entry can never be
-    mistaken for this stream — a miss writes the file (atomically), a
-    hit reuses it byte-for-byte.
+    crc of every column plus the start time, so a stale or colliding
+    cache entry can never be mistaken for this stream — a miss writes
+    the file (atomically), a hit reuses it byte-for-byte.
     """
     if pack_dir is None:
         return packed
     os.makedirs(pack_dir, exist_ok=True)
     safe = re.sub(r"[^A-Za-z0-9._-]+", "_", trace_name) or "trace"
-    fp = zlib.crc32(bytes(packed.keys), zlib.crc32(bytes(packed.ops)))
+    fp = zlib.crc32(struct.pack("<d", packed.start_time))
+    for column in (packed.ops, packed.keys, packed.times):
+        fp = zlib.crc32(bytes(column), fp)
     name = (
         f"{safe}-bs{packed.block_size}-{len(packed)}r-{fp:08x}.bpack"
     )
@@ -188,6 +235,75 @@ def _pack_ref(packed: PackedStream, pack_dir, trace_name: str):
 
 def _resolve_sweep_engine(engine: str | None) -> str:
     return engine if engine is not None else current_engine()
+
+
+def run_cells(
+    log: TraceLog,
+    cells: Iterable[SweepCell],
+    jobs: int | None = None,
+    engine: str | None = None,
+    pack_dir=None,
+) -> dict[SweepCell, CacheMetrics]:
+    """Replay *log* through every cell; metrics by cell.
+
+    Duplicate cells run once.  The write-through LRU cells of each
+    stream fold into one stack-curve job; every other cell is one packed
+    replay.  *jobs* picks in-process (1) or a process pool (more);
+    either way the answers equal :class:`BlockCacheSimulator`'s.
+    """
+    eng = _resolve_sweep_engine(engine)
+    streams: dict[tuple[bool, int], object] = {}
+    curves: dict[tuple, list[SweepCell]] = {}
+    replays: list[tuple[bool, tuple[SweepCell, ...]]] = []
+    for cell in dict.fromkeys(cells):
+        if cell.stream not in streams:
+            packed = cached_packed_stream(
+                log, cell.block_size, include_paging=cell.paging, engine=eng
+            )
+            name = f"{log.name}-paged" if cell.paging else log.name
+            streams[cell.stream] = _pack_ref(packed, pack_dir, name)
+        if cell.on_curve:
+            group = (cell.stream, cell.read_elision, cell.invalidate_on_delete)
+            curves.setdefault(group, []).append(cell)
+        else:
+            replays.append((False, (cell,)))
+    job_list = [(True, tuple(group)) for group in curves.values()] + replays
+    payload = _SweepPayload(streams, eng)
+    results: dict[SweepCell, CacheMetrics] = {}
+    for (_, group), metrics in zip(
+        job_list, run_jobs(_sweep_worker, job_list, payload=payload, jobs=jobs)
+    ):
+        results.update(zip(group, metrics))
+    return results
+
+
+def simulate_cache(
+    log: TraceLog,
+    cache_bytes: int,
+    block_size: int = 4096,
+    policy: PolicySpec = DELAYED_WRITE,
+    include_paging: bool = False,
+    *,
+    replacement: str = "lru",
+    read_elision: bool = True,
+    invalidate_on_delete: bool = True,
+) -> CacheMetrics:
+    """One configuration over *log*: a one-cell :func:`run_cells`.
+
+    The packed stream is memoized per log (see
+    :func:`~repro.parallel.packed.cached_packed_stream`) and the
+    flush-back schedule is anchored at the trace start.
+    """
+    cell = SweepCell(
+        cache_bytes=cache_bytes,
+        policy=policy,
+        block_size=block_size,
+        replacement=replacement,
+        paging=include_paging,
+        read_elision=read_elision,
+        invalidate_on_delete=invalidate_on_delete,
+    )
+    return run_cells(log, [cell])[cell]
 
 
 def _resolve_replacement(replacement: str | None) -> str:
@@ -248,8 +364,6 @@ def cache_size_policy_sweep(
     to the ambient :func:`~repro.cache.replacement.replacement_context`,
     default LRU — the paper's policy).
     """
-    n = resolve_jobs(jobs)
-    eng = _resolve_sweep_engine(engine)
     repl = _resolve_replacement(replacement)
     sweep = CachePolicySweep(
         trace_name=log.name,
@@ -258,48 +372,13 @@ def cache_size_policy_sweep(
         policies=tuple(policies),
         replacement=repl,
     )
-    if n <= 1:
-        stream = cached_stream(log)
-        for size in cache_sizes:
-            for policy in policies:
-                sim = BlockCacheSimulator(
-                    cache_bytes=size,
-                    block_size=block_size,
-                    policy=policy,
-                    replacement=repl,
-                )
-                sweep.results[(size, policy.label)] = sim.run(
-                    stream, flush_epoch=log.start_time
-                )
-        return sweep
-
-    packed = cached_packed_stream(log, block_size, engine=eng)
-    payload = _SweepPayload(
-        {block_size: _pack_ref(packed, pack_dir, log.name)}, eng
-    )
-    stack_policies = [
-        p
-        for p in policies
-        if p.policy is WritePolicy.WRITE_THROUGH and repl == "lru"
-    ]
-    jobs_list: list[tuple] = []
-    if stack_policies:
-        jobs_list.append(("stack", block_size, tuple(cache_sizes)))
-    for size in cache_sizes:
-        for policy in policies:
-            if policy.policy is WritePolicy.WRITE_THROUGH and repl == "lru":
-                continue
-            jobs_list.append(("sim", block_size, size, policy, repl))
-    for job, result in zip(
-        jobs_list, run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=n)
-    ):
-        if job[0] == "stack":
-            for size, metrics in zip(job[2], result):
-                for policy in stack_policies:
-                    sweep.results[(size, policy.label)] = metrics
-        else:
-            _, _, size, policy, _ = job
-            sweep.results[(size, policy.label)] = result
+    cells = {
+        (size, policy.label): SweepCell(size, policy, block_size, repl)
+        for size in cache_sizes
+        for policy in policies
+    }
+    metrics = run_cells(log, cells.values(), jobs, engine, pack_dir)
+    sweep.results = {key: metrics[cell] for key, cell in cells.items()}
     return sweep
 
 
@@ -364,53 +443,22 @@ def block_size_sweep(
     replacement: str | None = None,
 ) -> BlockSizeSweep:
     """Reproduce Figure 6 / Table VII on *log*."""
-    n = resolve_jobs(jobs)
-    eng = _resolve_sweep_engine(engine)
     repl = _resolve_replacement(replacement)
     sweep = BlockSizeSweep(
         trace_name=log.name,
         block_sizes=tuple(block_sizes),
         cache_sizes=tuple(cache_sizes),
     )
-    if n <= 1:
-        stream = cached_stream(log)
-        for bs in block_sizes:
-            sweep.no_cache[bs] = count_block_accesses(stream, bs)
-            for cache in cache_sizes:
-                sim = BlockCacheSimulator(
-                    cache_bytes=cache,
-                    block_size=bs,
-                    policy=policy,
-                    replacement=repl,
-                )
-                sweep.results[(bs, cache)] = sim.run(
-                    stream, flush_epoch=log.start_time
-                )
-        return sweep
-
-    packed = {bs: cached_packed_stream(log, bs, engine=eng) for bs in block_sizes}
-    payload = _SweepPayload(
-        {bs: _pack_ref(p, pack_dir, log.name) for bs, p in packed.items()}, eng
-    )
-    use_stack = policy.policy is WritePolicy.WRITE_THROUGH and repl == "lru"
-    jobs_list: list[tuple] = []
+    cells = {
+        (bs, cache): SweepCell(cache, policy, bs, repl)
+        for bs in block_sizes
+        for cache in cache_sizes
+    }
+    metrics = run_cells(log, cells.values(), jobs, engine, pack_dir)
+    sweep.results = {key: metrics[cell] for key, cell in cells.items()}
+    eng = _resolve_sweep_engine(engine)
     for bs in block_sizes:
-        sweep.no_cache[bs] = packed[bs].n_accesses
-        if use_stack:
-            jobs_list.append(("stack", bs, tuple(cache_sizes)))
-        else:
-            for cache in cache_sizes:
-                jobs_list.append(("sim", bs, cache, policy, repl))
-    for job, result in zip(
-        jobs_list,
-        run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=n),
-    ):
-        if job[0] == "stack":
-            for cache, metrics in zip(job[2], result):
-                sweep.results[(job[1], cache)] = metrics
-        else:
-            _, bs, cache, _, _ = job
-            sweep.results[(bs, cache)] = result
+        sweep.no_cache[bs] = cached_packed_stream(log, bs, engine=eng).n_accesses
     return sweep
 
 
@@ -456,57 +504,16 @@ def paging_comparison(
     replacement: str | None = None,
 ) -> PagingComparison:
     """Reproduce Figure 7 on *log*."""
-    n = resolve_jobs(jobs)
-    eng = _resolve_sweep_engine(engine)
     repl = _resolve_replacement(replacement)
-    comparison = PagingComparison(
-        trace_name=log.name, cache_sizes=tuple(cache_sizes)
+    cells = {
+        (paging, size): SweepCell(size, policy, block_size, repl, paging)
+        for size in cache_sizes
+        for paging in (False, True)
+    }
+    metrics = run_cells(log, cells.values(), jobs, engine, pack_dir)
+    return PagingComparison(
+        trace_name=log.name,
+        cache_sizes=tuple(cache_sizes),
+        ignored={size: metrics[cells[False, size]] for size in cache_sizes},
+        simulated={size: metrics[cells[True, size]] for size in cache_sizes},
     )
-    if n <= 1:
-        plain = cached_stream(log, include_paging=False)
-        paged = cached_stream(log, include_paging=True)
-        for size in cache_sizes:
-            comparison.ignored[size] = BlockCacheSimulator(
-                cache_bytes=size,
-                block_size=block_size,
-                policy=policy,
-                replacement=repl,
-            ).run(plain, flush_epoch=log.start_time)
-            comparison.simulated[size] = BlockCacheSimulator(
-                cache_bytes=size,
-                block_size=block_size,
-                policy=policy,
-                replacement=repl,
-            ).run(paged, flush_epoch=log.start_time)
-        return comparison
-
-    payload = _SweepPayload(
-        {
-            "plain": _pack_ref(
-                cached_packed_stream(
-                    log, block_size, include_paging=False, engine=eng
-                ),
-                pack_dir,
-                f"{log.name}-plain",
-            ),
-            "paged": _pack_ref(
-                cached_packed_stream(
-                    log, block_size, include_paging=True, engine=eng
-                ),
-                pack_dir,
-                f"{log.name}-paged",
-            ),
-        },
-        eng,
-    )
-    jobs_list: list[tuple] = []
-    for size in cache_sizes:
-        jobs_list.append(("sim", "plain", size, policy, repl))
-        jobs_list.append(("sim", "paged", size, policy, repl))
-    for job, result in zip(
-        jobs_list, run_jobs(_sweep_worker, jobs_list, payload=payload, jobs=n)
-    ):
-        _, variant, size, _, _ = job
-        table = comparison.ignored if variant == "plain" else comparison.simulated
-        table[size] = result
-    return comparison

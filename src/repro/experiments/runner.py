@@ -7,9 +7,9 @@ one.  ``paper_vs_measured`` renders the side-by-side record used in
 All three accept ``jobs``: experiment entry points take only a trace, so
 the worker count travels as an ambient default
 (:func:`~repro.parallel.executor.jobs_context`) that the sweeps beneath
-pick up.  ``jobs=None`` keeps the serial reference path; the derived
-streams are still memoized per trace, so back-to-back experiments stop
-rebuilding them either way.
+pick up.  ``jobs=None`` runs every sweep job in-process, with the same
+results; the derived streams are memoized per trace, so back-to-back
+experiments stop rebuilding them either way.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ from typing import Callable
 from ..analysis.sizes import file_size_cdfs
 from ..analysis.staticscan import scan_disk
 from ..cache.policies import FLUSH_30S
-from ..cache.simulator import BlockCacheSimulator, simulate_cache
+from ..cache.simulator import BlockCacheSimulator
+from ..cache.sweep import simulate_cache
 from ..cache.stream import build_stream
 from ..trace.records import ExecEvent
 from ..trace.stats import total_bytes_transferred

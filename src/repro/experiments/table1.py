@@ -8,8 +8,7 @@ from ..analysis.lifetimes import collect_lifetimes, lifetime_cdfs
 from ..analysis.opentimes import open_time_cdf
 from ..analysis.sequentiality import analyze_sequentiality
 from ..cache.policies import DELAYED_WRITE, WRITE_THROUGH
-from ..cache.simulator import simulate_cache
-from ..cache.sweep import block_size_sweep
+from ..cache.sweep import block_size_sweep, simulate_cache
 from ..trace.log import TraceLog
 from .base import ExperimentResult, register
 

@@ -4,7 +4,8 @@ The paper fixed LRU replacement and swept write policies (Table VI).
 This exhibit holds the best write policy fixed (delayed-write, the
 paper's winner) and sweeps the *replacement* policy instead, across the
 three paper machines plus a modern strace-captured compile pipeline.
-Every cell is an exact packed replay (:func:`replay_packed`) — the
+Every cell goes through the sweep planner
+(:func:`~repro.cache.sweep.run_cells`) as an exact packed replay — the
 non-LRU zoo policies are replay-only, so the numpy curve kernel
 declines them and both engines answer identically (DESIGN.md §16).
 
@@ -19,8 +20,7 @@ import textwrap
 
 from ..cache.policies import DELAYED_WRITE
 from ..cache.replacement import REPLACEMENT_NAMES
-from ..parallel.packed import cached_packed_stream
-from ..parallel.veccache import replay_packed
+from ..cache.sweep import SweepCell, run_cells
 from ..strace import convert_calls, parse_lines
 from ..trace.log import TraceLog
 from .base import ExperimentResult, register
@@ -106,21 +106,16 @@ def _strace_workload() -> TraceLog:
 
 def _grid(log: TraceLog) -> dict[str, dict[int, float]]:
     """Miss ratio per (replacement policy, cache size) for one workload."""
-    packed = cached_packed_stream(log, _BLOCK_SIZE)
-    out: dict[str, dict[int, float]] = {}
-    for name in REPLACEMENT_NAMES:
-        row: dict[int, float] = {}
-        for size in _SIZES:
-            run = replay_packed(
-                packed,
-                size,
-                DELAYED_WRITE,
-                replacement=name,
-                flush_epoch=packed.start_time,
-            )
-            row[size] = run.metrics.miss_ratio
-        out[name] = row
-    return out
+    cells = {
+        (name, size): SweepCell(size, DELAYED_WRITE, _BLOCK_SIZE, name)
+        for name in REPLACEMENT_NAMES
+        for size in _SIZES
+    }
+    metrics = run_cells(log, cells.values())
+    return {
+        name: {size: metrics[cells[name, size]].miss_ratio for size in _SIZES}
+        for name in REPLACEMENT_NAMES
+    }
 
 
 def _render(grids: dict[str, dict[str, dict[int, float]]]) -> str:

@@ -13,9 +13,10 @@ Three layers, composable but independent:
   process pool, payload shipped once, results in deterministic order,
   serial fallback when ``jobs=1`` or the pool dies.
 
-The sweeps in :mod:`repro.cache.sweep` keep the reference simulator as
-their ``jobs=1`` path, so the fast paths are continuously differentially
-tested against it.
+The sweeps in :mod:`repro.cache.sweep` run every cell through these
+fast paths at any ``jobs`` (which only picks in-process or pool); the
+reference simulator stays the differential oracle the tests hold them
+to.
 """
 
 from .executor import auto_jobs, jobs_context, resolve_jobs, run_jobs

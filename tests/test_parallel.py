@@ -5,8 +5,9 @@ having if they are *bit-identical* to the reference
 :class:`~repro.cache.simulator.BlockCacheSimulator` — the sweeps swap
 them in silently, so any divergence would corrupt exhibits.  These tests
 pin that equivalence across policies, sizes, knobs, checkpoints and
-flush anchoring, plus the executor's ordering/fallback contracts and the
-CLI's ``--jobs`` plumbing.
+flush anchoring, check every sweep cell against the reference at any
+``jobs``, plus the executor's ordering/fallback contracts and the CLI's
+``--jobs`` plumbing.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from repro.cache.sweep import (
     cache_size_policy_sweep,
     count_block_accesses,
     paging_comparison,
+    simulate_cache,
 )
 from repro.cli.main import main
+from repro.experiments import run_one
 from repro.parallel import executor as executor_module
 from repro.parallel.executor import (
     auto_jobs,
@@ -311,27 +314,76 @@ class TestExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Sweeps: parallel == serial
+# Sweeps: every cell == the reference simulator, at any jobs
 # ---------------------------------------------------------------------------
+
+
+def _reference(log, cache_bytes, policy, block_size=4096, paging=False):
+    """One cell through :class:`BlockCacheSimulator`, anchored like a sweep."""
+    sim = BlockCacheSimulator(cache_bytes=cache_bytes, block_size=block_size,
+                              policy=policy)
+    return sim.run(cached_stream(log, include_paging=paging),
+                   flush_epoch=log.start_time)
 
 
 class TestSweepParity:
     def test_policy_sweep(self, small_trace):
         serial = cache_size_policy_sweep(small_trace, jobs=1)
+        for size in serial.cache_sizes:
+            for policy in serial.policies:
+                assert serial.results[(size, policy.label)] == _reference(
+                    small_trace, size, policy
+                ), (size, policy.label)
         parallel = cache_size_policy_sweep(small_trace, jobs=2)
         assert serial.results == parallel.results
 
     def test_block_size_sweep(self, small_trace):
         serial = block_size_sweep(small_trace, jobs=1)
+        stream = cached_stream(small_trace)
+        for bs in serial.block_sizes:
+            assert serial.no_cache[bs] == count_block_accesses(stream, bs)
+            for cache in serial.cache_sizes:
+                assert serial.results[(bs, cache)] == _reference(
+                    small_trace, cache, DELAYED_WRITE, block_size=bs
+                ), (bs, cache)
         parallel = block_size_sweep(small_trace, jobs=2)
         assert serial.results == parallel.results
         assert serial.no_cache == parallel.no_cache
 
     def test_paging_comparison(self, small_trace):
         serial = paging_comparison(small_trace, jobs=1)
+        for size in serial.cache_sizes:
+            assert serial.ignored[size] == _reference(
+                small_trace, size, DELAYED_WRITE
+            ), size
+            assert serial.simulated[size] == _reference(
+                small_trace, size, DELAYED_WRITE, paging=True
+            ), size
         parallel = paging_comparison(small_trace, jobs=2)
         assert serial.ignored == parallel.ignored
         assert serial.simulated == parallel.simulated
+
+
+class TestOneSweepPath:
+    """``jobs`` picks where sweep work runs, never which algorithm: at
+    ``jobs=1`` too, no sweep cell touches the reference simulator."""
+
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "arc"])
+    def test_no_cell_runs_the_reference(self, small_trace, monkeypatch,
+                                        replacement):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a sweep cell ran BlockCacheSimulator")
+
+        monkeypatch.setattr(BlockCacheSimulator, "__init__", refuse)
+        monkeypatch.setattr(BlockCacheSimulator, "run", refuse)
+        kwargs = dict(jobs=1, replacement=replacement)
+        assert cache_size_policy_sweep(small_trace, **kwargs).results
+        assert block_size_sweep(small_trace, **kwargs).results
+        assert paging_comparison(small_trace, **kwargs).simulated
+        for policy in ALL_POLICIES:
+            simulate_cache(small_trace, 390 * 1024, policy=policy,
+                           replacement=replacement)
+        assert run_one("table6rev", small_trace, jobs=1).data
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,22 @@ from __future__ import annotations
 
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.cache.policies import WRITE_THROUGH
-from repro.cache.stream import Invalidation, Transfer, build_stream
+from repro.cache.policies import DELAYED_WRITE, FLUSH_30S, WRITE_THROUGH
+from repro.cache.simulator import BlockCacheSimulator
+from repro.cache.stream import (
+    Invalidation,
+    Transfer,
+    build_stream,
+    cached_stream,
+)
 from repro.cache.sweep import (
     block_size_sweep,
     cache_size_policy_sweep,
+    count_block_accesses,
     paging_comparison,
 )
 from repro.cli.main import main
@@ -47,7 +55,10 @@ from repro.parallel.veccache import (
     stack_curve,
     stack_curve_numpy,
 )
+from repro.trace.log import TraceLog
 from repro.trace.npview import current_engine, engine_context, numpy_available
+from repro.workload.generator import generate
+from repro.workload.profiles import UCBARPA
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy unavailable"
@@ -362,42 +373,88 @@ class TestSegmentPacks:
 SWEEP_SIZES = (64 * 1024, 394 * 1024)
 
 
+def _reference(log, cache_bytes, policy, block_size=4096, paging=False):
+    """One cell through :class:`BlockCacheSimulator`, anchored like a sweep."""
+    sim = BlockCacheSimulator(cache_bytes=cache_bytes, block_size=block_size,
+                              policy=policy)
+    return sim.run(cached_stream(log, include_paging=paging),
+                   flush_epoch=log.start_time)
+
+
 class TestSweepFanout:
     @pytest.mark.parametrize("engine", ["python", "numpy"])
     def test_policy_sweep_parity(self, small_trace, tmp_path, engine):
         if engine == "numpy" and not numpy_available():
             pytest.skip("numpy unavailable")
-        serial = cache_size_policy_sweep(
-            small_trace, cache_sizes=SWEEP_SIZES, jobs=1
-        )
         packed = cache_size_policy_sweep(
             small_trace, cache_sizes=SWEEP_SIZES, jobs=2,
             engine=engine, pack_dir=tmp_path,
+        )
+        for size in SWEEP_SIZES:
+            for policy in packed.policies:
+                assert packed.results[(size, policy.label)] == _reference(
+                    small_trace, size, policy
+                ), (size, policy.label)
+        serial = cache_size_policy_sweep(
+            small_trace, cache_sizes=SWEEP_SIZES, jobs=1
         )
         assert packed.results == serial.results
         assert any(p.endswith(".bpack") for p in os.listdir(tmp_path))
 
     def test_block_size_sweep_parity(self, small_trace, tmp_path):
-        serial = block_size_sweep(
-            small_trace, block_sizes=(1024, 4096),
-            cache_sizes=SWEEP_SIZES, jobs=1,
-        )
         packed = block_size_sweep(
             small_trace, block_sizes=(1024, 4096),
             cache_sizes=SWEEP_SIZES, jobs=2, pack_dir=tmp_path,
+        )
+        stream = cached_stream(small_trace)
+        for bs in (1024, 4096):
+            assert packed.no_cache[bs] == count_block_accesses(stream, bs)
+            for cache in SWEEP_SIZES:
+                assert packed.results[(bs, cache)] == _reference(
+                    small_trace, cache, DELAYED_WRITE, block_size=bs
+                ), (bs, cache)
+        serial = block_size_sweep(
+            small_trace, block_sizes=(1024, 4096),
+            cache_sizes=SWEEP_SIZES, jobs=1,
         )
         assert packed.results == serial.results
         assert packed.no_cache == serial.no_cache
 
     def test_paging_comparison_parity(self, small_trace, tmp_path):
-        serial = paging_comparison(
-            small_trace, cache_sizes=SWEEP_SIZES, jobs=1
-        )
         packed = paging_comparison(
             small_trace, cache_sizes=SWEEP_SIZES, jobs=2, pack_dir=tmp_path
         )
+        for size in SWEEP_SIZES:
+            assert packed.ignored[size] == _reference(
+                small_trace, size, DELAYED_WRITE
+            ), size
+            assert packed.simulated[size] == _reference(
+                small_trace, size, DELAYED_WRITE, paging=True
+            ), size
+        serial = paging_comparison(
+            small_trace, cache_sizes=SWEEP_SIZES, jobs=1
+        )
         assert packed.ignored == serial.ignored
         assert packed.simulated == serial.simulated
+
+    def test_pack_dir_tells_retimed_traces_apart(self, tmp_path):
+        # Same name and op/key sequence, every time doubled: only the
+        # flush-back clock tells the two apart, so a pack cache keyed on
+        # ops and keys alone would replay the second trace on the
+        # first one's times.
+        log = generate(UCBARPA, seed=3, duration=1800.0).trace
+        slow = TraceLog(
+            name=log.name,
+            events=[replace(e, time=2 * e.time) for e in log.events],
+        )
+        key = (390 * 1024, FLUSH_30S.label)
+        for trace in (log, slow):
+            sweep = cache_size_policy_sweep(
+                trace, cache_sizes=key[:1], policies=(FLUSH_30S,), jobs=2,
+                pack_dir=tmp_path,
+            )
+            assert sweep.results[key] == _reference(trace, key[0], FLUSH_30S)
+        assert len(os.listdir(tmp_path)) == 2
 
     def test_pack_dir_reused_across_runs(self, small_trace, tmp_path):
         cache_size_policy_sweep(
