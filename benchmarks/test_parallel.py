@@ -1,11 +1,11 @@
-"""Bench: the parallel sweep executor and the packed/stack fast paths.
+"""Bench: the parallel sweep executor and the packed/curve fast paths.
 
 Two jobs ride here:
 
 * **Acceptance** — the Table VI policy sweep must run at least 2x faster
   at ``jobs=4`` than the serial reference (one
   :class:`~repro.cache.simulator.BlockCacheSimulator` run per cell), and
-  the one-pass stack simulator must reproduce the serial write-through
+  the one-pass stack curve must reproduce the serial write-through
   miss counts *exactly* at every paper cache size.  Both are asserted, not
   just measured (timings are best-of-3 to ride out machine noise; the
   speedup on this 14k-access trace is ~2.2-2.9x, from the packed
@@ -28,7 +28,7 @@ from repro.cache.sweep import (
 )
 from repro.cache.policies import WRITE_THROUGH
 from repro.parallel.packed import cached_packed_stream, simulate_packed
-from repro.parallel.stack import simulate_stack
+from repro.parallel.veccache import stack_curve
 
 
 def _best_of(fn, rounds=3):
@@ -82,7 +82,7 @@ def test_stack_curve_exact_at_paper_sizes(trace, bench_once, benchmark):
     stream = build_stream(trace)
     packed = cached_packed_stream(trace, 4096)
 
-    curve = bench_once(simulate_stack, packed, PAPER_CACHE_SIZES)
+    curve = bench_once(stack_curve, packed, PAPER_CACHE_SIZES)
     for size in PAPER_CACHE_SIZES:
         sim = BlockCacheSimulator(cache_bytes=size, policy=WRITE_THROUGH)
         ref = sim.run(stream)

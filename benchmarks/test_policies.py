@@ -3,8 +3,7 @@
 Every zoo policy (``repro.cache.replacement``) replays the bench trace
 through :func:`~repro.parallel.packed.simulate_packed` over a
 three-size grid (the "Table VI revisited" working set).  The replays
-are pure Python, so the numbers are meaningful on both CI legs; the
-``REPRO_NO_NUMPY=1`` leg runs them unchanged.  The dispatch benchmark
+are pure Python at any engine.  The dispatch benchmark
 additionally times :func:`~repro.parallel.veccache.replay_packed` on
 the one configuration the numpy kernel answers (write-through LRU) and
 asserts it stays bit-identical to the Python replay.
@@ -22,11 +21,6 @@ from repro.cache.policies import DELAYED_WRITE, WRITE_THROUGH
 from repro.cache.replacement import REPLACEMENT_NAMES
 from repro.parallel.packed import cached_packed_stream, simulate_packed
 from repro.parallel.veccache import replay_packed
-from repro.trace.npview import numpy_available
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy unavailable"
-)
 
 #: The ranking grid of the table6rev experiment.
 GRID_SIZES = (399360, 2 * 1024 * 1024, 8 * 1024 * 1024)
@@ -68,7 +62,6 @@ def test_policy_replay_grid(trace, benchmark, name):
         )
 
 
-@needs_numpy
 def test_policy_dispatch_write_through_lru(trace, benchmark):
     """Regression-gated: the engine dispatcher's one curve-served cell."""
     packed = cached_packed_stream(trace, 4096)

@@ -11,11 +11,9 @@ Two jobs ride here, mirroring ``test_streaming.py``:
   against ``benchmarks/BENCH_5.json`` by ``check_regression.py
   --gate vectorized`` in CI.
 
-The pure-Python engine keeps its own gates: CI pins the legacy
-``BENCH_2``..``BENCH_4`` steps under ``REPRO_NO_NUMPY=1``, so a numpy
-win can never mask a reference-path regression.  This whole module
-skips without numpy (the no-numpy leg still executes every other
-benchmark).
+The fused Python analyzer keeps its own gate: ``test_streaming.py``
+runs it at ``engine="python"``, so a numpy win can never mask a
+reference-path regression.
 """
 
 from __future__ import annotations
@@ -29,11 +27,6 @@ import pytest
 
 from repro.cache.stream import build_stream
 from repro.trace.columns import TraceColumns
-from repro.trace.npview import numpy_available
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy fast path unavailable"
-)
 
 BENCH_3 = Path(__file__).parent / "BENCH_3.json"
 BLOCK_SIZE = 1024

@@ -414,9 +414,9 @@ def analyze_onepass(
     :func:`~repro.trace.io_binary.read_binary_columns`.
 
     *engine* selects the scan implementation: ``"auto"`` (the default)
-    uses the numpy fast path when numpy is importable and falls back to
-    this module's loop otherwise (or whenever the vectorized kernel
-    cannot replicate an exotic input bit-for-bit); ``"python"`` and
+    uses the numpy fast path and falls back to this module's loop
+    whenever the vectorized kernel cannot replicate an exotic input
+    bit-for-bit; ``"python"`` and
     ``"numpy"`` force one side.  Both produce identical reports.
     """
     cols = cached_columns(source) if isinstance(source, TraceLog) else source

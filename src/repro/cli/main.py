@@ -78,7 +78,7 @@ from ..trace.intervals import interval_stats
 from ..trace.io_binary import read_binary, write_binary
 from ..trace.io_text import read_text, write_text
 from ..trace.log import TraceLog
-from ..trace.npview import ENGINES, engine_context, numpy_available
+from ..trace.npview import ENGINES, engine_context
 from ..trace.stats import compute_stats
 from ..trace.validate import DEFAULT_MAX_PROBLEMS, validate
 from ..workload.generator import generate, generate_many
@@ -738,20 +738,11 @@ def _cmd_convert_strace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _engine_arg(text: str) -> str:
-    if text == "numpy" and not numpy_available():
-        raise argparse.ArgumentTypeError(
-            "numpy engine requested but numpy is unavailable "
-            "(not installed, or disabled via REPRO_NO_NUMPY)"
-        )
-    return text
-
-
 def _add_engine_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--engine", choices=ENGINES, default="auto", type=_engine_arg,
-        help="scan implementation: auto picks the numpy fast path when "
-        "available, python/numpy force one side (results are identical)",
+        "--engine", choices=ENGINES, default="auto",
+        help="scan implementation: auto and numpy run the numpy kernels, "
+        "python the pure-Python references (results are identical)",
     )
 
 

@@ -26,7 +26,7 @@ inputs:
 * :mod:`repro.fuzz.engines` — the vectorized-engine pillar: the numpy
   kernels of :mod:`repro.analysis.vectorized` (analyzer, validator,
   packed-stream compiler) versus their pure-Python twins, required
-  bit-identical (skipped when numpy is not installed);
+  bit-identical;
 * :mod:`repro.fuzz.policies` — the replacement-policy pillar: every zoo
   policy (:mod:`repro.cache.replacement`) replayed through the full
   simulator and the packed replayer, the engine dispatcher's two legs,

@@ -42,7 +42,6 @@ from ..corpus.stream import analyze_corpus, validate_corpus
 from ..corpus.writer import CorpusWriter
 from ..trace.columns import TraceColumns
 from ..trace.log import TraceLog
-from ..trace.npview import numpy_available
 from ..trace.validate import validate_columns
 
 __all__ = [
@@ -150,8 +149,7 @@ def check_corpus_streaming(
             seg = reader.segment(index)
             stat = reader.stats[index]
             outcomes = []
-            engines = ("python", "numpy") if numpy_available() else ("python",)
-            for engine in engines:
+            for engine in ("python", "numpy"):
                 try:
                     outcomes.append(verify_segment_job(seg, stat, index, engine))
                 except CorpusError as exc:
@@ -161,7 +159,7 @@ def check_corpus_streaming(
                     f"verify_segment_job rejected a freshly written segment "
                     f"{index}: {outcomes[0]}"
                 )
-            if len(outcomes) == 2 and outcomes[0] != outcomes[1]:
+            if outcomes[0] != outcomes[1]:
                 return (
                     f"verify_segment_job engines disagree on segment "
                     f"{index}: python={outcomes[0]!r} numpy={outcomes[1]!r}"

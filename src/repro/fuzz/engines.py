@@ -16,16 +16,13 @@ of that claim on every seeded trace:
   suppression boundary;
 * :func:`~repro.parallel.packed.pack_stream` with both engines, row for
   row, at two block sizes;
-* the vectorized cache engine (:mod:`repro.parallel.veccache`) vs the
-  one-pass stack oracle: the full miss/hit/eviction curve at
-  seed-chosen cache sizes (small ones included — they maximize hole
-  traffic), exact :class:`~repro.cache.metrics.CacheMetrics` per size,
-  checkpoint snapshots and both simulator knobs; plus the batched
-  write-through replay vs :func:`~repro.parallel.packed.simulate_packed`
-  at one seed-chosen capacity.
-
-Everything here is a no-op without numpy — the pillar checks an
-equivalence, and with one side missing there is nothing to compare.
+* the vectorized cache engine (:mod:`repro.parallel.veccache`) vs
+  :func:`~repro.parallel.packed.simulate_packed` at each size: the full
+  miss/hit/eviction curve at seed-chosen cache sizes (small ones
+  included — they maximize hole traffic), exact
+  :class:`~repro.cache.metrics.CacheMetrics` per size, checkpoint
+  snapshots and both simulator knobs; plus the batched write-through
+  replay at one seed-chosen capacity.
 """
 
 from __future__ import annotations
@@ -37,11 +34,9 @@ from ..analysis.onepass import analyze_onepass
 from ..cache.policies import WRITE_THROUGH
 from ..cache.stream import build_stream
 from ..parallel.packed import pack_stream, simulate_packed
-from ..parallel.stack import simulate_stack
 from ..parallel.veccache import simulate_packed_numpy, stack_curve_numpy
 from ..trace.columns import KIND_CLOSE, KIND_OPEN, KIND_SEEK, TraceColumns
 from ..trace.log import TraceLog
-from ..trace.npview import numpy_available
 from ..trace.validate import validate_columns
 
 __all__ = ["check_engines", "check_engines_all"]
@@ -168,11 +163,9 @@ def _validators_differ(cols: TraceColumns, max_problems: int, label: str) -> str
 def check_engines(log: TraceLog, seed: str = "0") -> str | None:
     """Compare every vectorized kernel against its Python twin on *log*.
 
-    Returns ``None`` (including when numpy is unavailable) or a
-    first-divergence description.  Deterministic per ``(log, seed)``.
+    Returns ``None`` or a first-divergence description.  Deterministic
+    per ``(log, seed)``.
     """
-    if not numpy_available():
-        return None
     rng = random.Random(f"engines:{seed}")
     cols = TraceColumns.from_log(log)
     n = len(cols)
@@ -218,7 +211,7 @@ def check_engines(log: TraceLog, seed: str = "0") -> str | None:
 
 
 def _curves_differ(packed, rng: random.Random, label: str) -> str | None:
-    """The vectorized cache engine vs the stack/replay oracles."""
+    """The vectorized cache engine vs per-size packed replays."""
     from ..analysis.vectorized import VectorFallback
 
     bs = packed.block_size
@@ -235,7 +228,6 @@ def _curves_differ(packed, rng: random.Random, label: str) -> str | None:
         lo = packed.times[0]
         hi = packed.times[-1]
         knobs["checkpoint_time"] = lo + rng.random() * (hi - lo)
-    ref = simulate_stack(packed, sizes, WRITE_THROUGH, **knobs)
     try:
         fast = stack_curve_numpy(packed, sizes, WRITE_THROUGH, **knobs)
     except VectorFallback:
@@ -243,9 +235,10 @@ def _curves_differ(packed, rng: random.Random, label: str) -> str | None:
         # would rerun the oracle, so there is nothing to compare.
         return None
     for size in sizes:
-        if fast.metrics(size) != ref.metrics(size):
+        ref = simulate_packed(packed, size, WRITE_THROUGH, **knobs)
+        if fast.metrics(size) != ref.metrics:
             return f"{label}: curve metrics diverge at {size} bytes"
-        if fast.checkpoint(size) != ref.checkpoint(size):
+        if fast.checkpoint(size) != ref.checkpoint:
             return f"{label}: curve checkpoint diverges at {size} bytes"
     cache_bytes = rng.choice(sizes)
     rep_ref = simulate_packed(

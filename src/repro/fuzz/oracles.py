@@ -10,7 +10,7 @@ standing bit-identical claims:
   per-module reference analyses, field for field (:func:`check_analysis`);
 * :class:`~repro.cache.simulator.BlockCacheSimulator` vs
   :func:`~repro.parallel.packed.simulate_packed` across write policies,
-  and vs :func:`~repro.parallel.stack.simulate_stack` under
+  and vs :func:`~repro.parallel.veccache.stack_curve` under
   write-through (:func:`check_cache`).
 """
 
@@ -38,7 +38,7 @@ from ..cache.policies import DELAYED_WRITE, FLUSH_30S, WRITE_THROUGH
 from ..cache.simulator import BlockCacheSimulator
 from ..cache.stream import build_stream
 from ..parallel.packed import pack_stream, simulate_packed
-from ..parallel.stack import simulate_stack
+from ..parallel.veccache import stack_curve
 from ..trace.columns import TraceColumns
 from ..trace.io_binary import read_binary, read_binary_columns, write_binary, \
     write_binary_columns
@@ -217,7 +217,7 @@ def check_cache(
     cache_sizes: tuple[int, ...] = ORACLE_CACHE_SIZES,
     block_size: int = ORACLE_BLOCK_SIZE,
 ) -> str | None:
-    """Reference simulator vs packed replayer vs LRU stack."""
+    """Reference simulator vs packed replayer vs LRU stack curve."""
     stream = build_stream(log)
     packed = pack_stream(stream, block_size, start_time=log.start_time)
     for policy in _ORACLE_POLICIES:
@@ -235,7 +235,7 @@ def check_cache(
                     f"(policy={policy.label}, cache={cache_bytes}): "
                     f"{_metrics_diff(ref.metrics, fast.metrics)}"
                 )
-    curve = simulate_stack(packed, cache_sizes)
+    curve = stack_curve(packed, cache_sizes)
     for cache_bytes in cache_sizes:
         ref = BlockCacheSimulator(
             cache_bytes=cache_bytes, block_size=block_size, policy=WRITE_THROUGH
@@ -244,7 +244,7 @@ def check_cache(
         stacked = curve.metrics(cache_bytes)
         if ref.metrics != stacked:
             return (
-                f"simulate_stack diverges from BlockCacheSimulator "
+                f"stack_curve diverges from BlockCacheSimulator "
                 f"(write-through, cache={cache_bytes}): "
                 f"{_metrics_diff(ref.metrics, stacked)}"
             )

@@ -35,7 +35,6 @@ from ..cache.stream import build_stream
 from ..parallel.packed import OP_READ, PackedStream, pack_stream, simulate_packed
 from ..parallel.veccache import replay_packed
 from ..trace.log import TraceLog
-from ..trace.npview import numpy_available
 
 __all__ = ["check_policies", "check_policies_all"]
 
@@ -114,21 +113,20 @@ def check_policies(log: TraceLog, seed: str = "0") -> str | None:
                 return f"{label}: packed replay diverges from the full simulator"
             if run.checkpoint != sim.checkpoint:
                 return f"{label}: packed replay checkpoint diverges"
-            if numpy_available():
-                fast = replay_packed(
-                    packed,
-                    cache_bytes,
-                    write_policy,
-                    replacement=name,
-                    checkpoint_time=checkpoint_time,
-                    flush_epoch=log.start_time,
-                    engine="numpy",
-                    **knobs,
-                )
-                if fast.metrics != run.metrics:
-                    return f"{label}: numpy engine dispatch diverges"
-                if fast.checkpoint != run.checkpoint:
-                    return f"{label}: numpy engine checkpoint diverges"
+            fast = replay_packed(
+                packed,
+                cache_bytes,
+                write_policy,
+                replacement=name,
+                checkpoint_time=checkpoint_time,
+                flush_epoch=log.start_time,
+                engine="numpy",
+                **knobs,
+            )
+            if fast.metrics != run.metrics:
+                return f"{label}: numpy engine dispatch diverges"
+            if fast.checkpoint != run.checkpoint:
+                return f"{label}: numpy engine checkpoint diverges"
     # Three-way no-reuse oracle: nothing to adapt to, so the adaptive
     # policies must collapse onto plain LRU's numbers exactly.
     no_reuse = _no_reuse_stream(rng)

@@ -20,7 +20,7 @@ One *round* = one seeded burst through all six pillars:
 5. compare the vectorized (numpy) analysis engine against its
    pure-Python twin on the synthetic trace (:mod:`repro.fuzz.engines`):
    analyzer, validator (clean and spoiled), and packed-stream compiler,
-   all required bit-identical.  Skipped when numpy is not installed.
+   all required bit-identical.
 6. replay the synthetic trace through every replacement policy in the
    zoo (:mod:`repro.fuzz.policies`): the packed replayer vs the full
    simulator, the engine dispatcher's two legs, and the three-way
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..trace.log import TraceLog
-from ..trace.npview import numpy_available
 from .corpus import CorpusFaultPlan, check_corpus_all, check_corpus_corruption
 from .engines import check_engines_all
 from .faults import FaultPlan, check_corruption, check_netfs_convergence
@@ -371,40 +370,36 @@ def run_fuzz(
             )
 
         # Pillar 5: the vectorized engine vs the pure-Python reference,
-        # on the same synthetic trace (no-op without numpy — there is
-        # nothing to compare against).
-        if numpy_available():
-            check = lambda log: check_engines_all(log, seed=round_seed)  # noqa: E731
-            result = check(synthetic)
-            report.engine_events += len(synthetic.events)
-            report.steps += len(synthetic.events)
-            if result is not None:
-                pillar, detail = result
-                say(
-                    f"round {round_index}: FAIL [{pillar}] {detail}; shrinking ..."
+        # on the same synthetic trace.
+        check = lambda log: check_engines_all(log, seed=round_seed)  # noqa: E731
+        result = check(synthetic)
+        report.engine_events += len(synthetic.events)
+        report.steps += len(synthetic.events)
+        if result is not None:
+            pillar, detail = result
+            say(f"round {round_index}: FAIL [{pillar}] {detail}; shrinking ...")
+            shrunk, detail = _shrink_events(
+                list(synthetic.events), pillar, check=check
+            )
+            entry = None
+            if config.corpus:
+                entry = write_corpus_entry(
+                    config.corpus,
+                    name=f"engine-{config.seed}-{round_index}",
+                    pillar=pillar,
+                    detail=detail,
+                    seed=round_seed,
+                    events=shrunk,
                 )
-                shrunk, detail = _shrink_events(
-                    list(synthetic.events), pillar, check=check
+            report.divergences.append(
+                Divergence(
+                    pillar=pillar,
+                    detail=detail,
+                    seed=round_seed,
+                    shrunk_events=len(shrunk),
+                    corpus_entry=entry,
                 )
-                entry = None
-                if config.corpus:
-                    entry = write_corpus_entry(
-                        config.corpus,
-                        name=f"engine-{config.seed}-{round_index}",
-                        pillar=pillar,
-                        detail=detail,
-                        seed=round_seed,
-                        events=shrunk,
-                    )
-                report.divergences.append(
-                    Divergence(
-                        pillar=pillar,
-                        detail=detail,
-                        seed=round_seed,
-                        shrunk_events=len(shrunk),
-                        corpus_entry=entry,
-                    )
-                )
+            )
 
         # Pillar 6: the replacement-policy zoo — every policy replayed
         # through the full simulator and the packed replayer (plus the

@@ -6,9 +6,9 @@ Three layers, composable but independent:
   into flat arrays and replay them through a tight single-loop simulator
   (bit-identical metrics to the reference
   :class:`~repro.cache.simulator.BlockCacheSimulator`);
-* :mod:`.stack` — one-pass Mattson stack analysis (extended with
-  deletion holes) producing the whole cache-size curve in a single
-  traversal, exact under write-through;
+* :mod:`.veccache` — one-pass Mattson stack analysis (extended with
+  deletion holes) in numpy, producing the whole cache-size curve in a
+  single traversal, exact under write-through;
 * :mod:`.executor` — fan independent (payload, job) pairs out to a
   process pool, payload shipped once, results in deterministic order,
   serial fallback when ``jobs=1`` or the pool dies.
@@ -27,7 +27,7 @@ from .packed import (
     pack_stream,
     simulate_packed,
 )
-from .stack import StackCurve, simulate_stack
+from .veccache import StackCurve
 
 __all__ = [
     "auto_jobs",
@@ -40,5 +40,4 @@ __all__ = [
     "pack_stream",
     "simulate_packed",
     "StackCurve",
-    "simulate_stack",
 ]

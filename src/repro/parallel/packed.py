@@ -92,7 +92,7 @@ def pack_stream(
     """Compile *stream* (from ``build_stream``) for *block_size*.
 
     *engine* selects the implementation: ``"auto"`` expands blocks with
-    the numpy fast path when available (bit-identical packed streams;
+    the numpy fast path (bit-identical packed streams;
     fuzz pillar 5 checks this continuously), ``"python"``/``"numpy"``
     force one side.
     """
@@ -279,12 +279,12 @@ def simulate_packed(
 
     keys = packed.keys.tolist()
 
-    # Three loop bodies over the same rows: a generic timed one (flush
-    # scans, checkpoints, FIFO), and two branch-free specializations for
-    # the sweeps' hot cases — LRU delayed-write and LRU write-through
-    # with no clock at all.  They must stay behaviorally identical; the
-    # differential suite runs all of them against the reference.
-    if timed or not lru:
+    # Two loop bodies over the same rows: a generic one (flush scans,
+    # checkpoints, FIFO, write-through), and a branch-free specialization
+    # for the sweeps' hot case, LRU delayed-write with no clock at all.
+    # They must stay behaviorally identical; the differential suite runs
+    # both against the reference.
+    if timed or not lru or write_through:
         for op, key, t in zip(packed.ops, keys, packed.times.tolist()):
             if t >= cp_at:
                 checkpoint = CacheMetrics(
@@ -362,55 +362,6 @@ def simulate_packed(
                 if dirty_has(vkey):
                     dirty_drop(vkey)
                     disk_writes += 1
-                vfid = vkey >> KEY_SHIFT
-                vs = by_file[vfid]
-                vs.discard(vkey)
-                if not vs:
-                    del by_file[vfid]
-    elif write_through:
-        # LRU write-through, untimed: nothing is ever dirty.
-        for op, key in zip(packed.ops, keys):
-            if op == OP_INVALIDATE:
-                if invalidate_on_delete:
-                    fid = key >> KEY_SHIFT
-                    s = by_file.get(fid)
-                    if s:
-                        doomed = sorted(k for k in s if k >= key)
-                        if doomed:
-                            for k in doomed:
-                                pop(k)
-                                s.discard(k)
-                            invalidated += len(doomed)
-                            if not s:
-                                del by_file[fid]
-                continue
-            if get(key) is not None:
-                move(key)
-                if op:
-                    writes += 1
-                    disk_writes += 1
-                else:
-                    reads += 1
-                continue
-            if op:
-                writes += 1
-                disk_writes += 1
-                if op == OP_WRITE_COVERED and read_elision:
-                    elisions += 1
-                else:
-                    disk_reads += 1
-            else:
-                reads += 1
-                disk_reads += 1
-            cache[key] = True
-            fid = key >> KEY_SHIFT
-            s = by_file.get(fid)
-            if s is None:
-                s = by_file[fid] = set()
-            s.add(key)
-            if len(cache) > capacity:
-                vkey, _ = popitem(False)
-                evictions += 1
                 vfid = vkey >> KEY_SHIFT
                 vs = by_file[vfid]
                 vs.discard(vkey)

@@ -1,18 +1,26 @@
-"""Vectorized Mattson curves: the cache-simulation half at column speed.
+"""Mattson miss-ratio curves at column speed.
 
-:func:`~repro.parallel.stack.simulate_stack` already collapses a whole
-cache-size sweep into one pass, but it still interprets the packed
-stream one op at a time in Python.  This module recomputes the
-*identical* curve — exact :class:`~repro.cache.metrics.CacheMetrics`
-at every tracked size, checkpoint included — with whole-column numpy
-kernels.  ``simulate_stack`` stays in the tree as the differential
-oracle (fuzz pillar 5 and ``tests/test_veccache.py`` compare them
-continuously), exactly as ``analysis/vectorized.py`` treats the
-one-pass analyzer.
+Every cache-size sweep in the paper replays the same stream once per
+cache size, yet LRU caches obey the *inclusion property*: the content of
+a C-block cache is always a subset of a larger one's, so one traversal
+that tracks each block's reuse depth yields the metrics of **all** sizes
+at once (Mattson et al., "Evaluation techniques for storage
+hierarchies", IBM Systems Journal 1970).  Under **write-through** no
+block is ever dirty and every write is a disk write, so such a curve
+reconstructs the full :class:`~repro.cache.metrics.CacheMetrics` of the
+reference simulator exactly; the other write policies need per-capacity
+dirty state and replay one configuration at a time.
 
-The reference's stack is a list of slots (live blocks and deletion
-holes) whose stamps strictly decrease with depth, so every per-op
-decision it makes reduces to *counting stamps*:
+The classical algorithm assumes blocks are never removed.  Our streams
+delete: unlinks and truncations invalidate cached blocks, which breaks
+plain inclusion.  The fix keeps deleted blocks' *positions* as holes:
+the stack is a list of slots (live blocks and holes) whose stamps
+strictly decrease with depth; the C-block cache holds the live blocks
+among the first C slots; a delete marks its slot a hole in place; and
+an access pushes its block to the front and removes the *shallowest*
+hole (its own old slot when no hole sits above it — a plain
+move-to-front).  Every per-op decision of that stack reduces to
+*counting stamps*:
 
 * Each pushing access mints stamp ``u`` and removes exactly one older
   stamp ``r_u`` from the stack (the consumed hole, the moved slot's old
@@ -36,14 +44,16 @@ column expression); and all ``T`` queries answered in one batch by a
 wavelet matrix over the removal sequence (``O(log n)`` vectorized
 passes for the whole batch).
 
-Like every other kernel pair, bit-identity is the contract:
-``stack_curve(..., engine="auto")`` runs the numpy kernel when it can
-and silently reruns the Python oracle on :class:`VectorFallback`;
-``engine="numpy"`` with numpy unavailable raises instead of degrading.
-:func:`simulate_packed_numpy` rides the same machinery for the
-write-through/LRU configurations (the only ones whose disk traffic is
-content-determined — see the ``stack`` module docstring), so a sweep's
-per-configuration replays collapse into curve evaluations too.
+The reference is :func:`~repro.parallel.packed.simulate_packed` at each
+size (itself held bit-identical to
+:class:`~repro.cache.simulator.BlockCacheSimulator`): ``stack_curve``
+builds the same :class:`StackCurve` from one replay per distinct
+capacity at ``engine="python"`` and whenever the kernel declines its
+input with :class:`VectorFallback`.  Fuzz pillar 5 and
+``tests/test_veccache.py`` compare the two continuously.
+:func:`simulate_packed_numpy` rides the same kernel for the
+write-through/LRU configurations, so a sweep's per-configuration
+replays collapse into curve evaluations too.
 """
 
 from __future__ import annotations
@@ -63,9 +73,9 @@ from .packed import (
     PackedStream,
     simulate_packed,
 )
-from .stack import StackCurve, simulate_stack
 
 __all__ = [
+    "StackCurve",
     "replay_packed",
     "simulate_packed_numpy",
     "stack_curve",
@@ -77,6 +87,34 @@ __all__ = [
 #: and as int32 ranks inside the wavelet-matrix descent.
 _ROW_LIMIT = 1 << 30
 _FID_LIMIT = 1 << 32
+
+
+class StackCurve:
+    """Per-cache-size metrics of one write-through LRU stream."""
+
+    __slots__ = ("block_size", "cache_sizes", "_index", "_final", "_checkpoint")
+
+    def __init__(
+        self,
+        block_size: int,
+        cache_sizes: tuple[int, ...],
+        index: dict[int, int],
+        final: list[CacheMetrics],
+        checkpoint: list[CacheMetrics] | None,
+    ):
+        self.block_size = block_size
+        self.cache_sizes = cache_sizes
+        self._index = index
+        self._final = final
+        self._checkpoint = checkpoint
+
+    def metrics(self, cache_bytes: int) -> CacheMetrics:
+        return self._final[self._index[cache_bytes]]
+
+    def checkpoint(self, cache_bytes: int) -> CacheMetrics | None:
+        if self._checkpoint is None:
+            return None
+        return self._checkpoint[self._index[cache_bytes]]
 
 
 def _require(condition: bool, why: str) -> None:
@@ -96,11 +134,12 @@ def stack_curve(
     checkpoint_time: float | None = None,
     engine: str = "auto",
 ) -> StackCurve:
-    """One-pass curve for every size, on the fastest engine that can.
+    """Write-through LRU metrics for every size in *cache_sizes*.
 
-    ``"auto"`` uses the numpy kernel when available (bit-identical
-    curves), falling back to :func:`simulate_stack` when the kernel
-    declines the input; ``"python"``/``"numpy"`` force one side.
+    ``"auto"``/``"numpy"`` run the one-pass kernel; ``"python"``, and
+    any input the kernel declines, replay
+    :func:`~repro.parallel.packed.simulate_packed` once per distinct
+    capacity instead.  Both give bit-identical curves.
     """
     if resolve_engine(engine) == "numpy":
         from ..analysis.vectorized import VectorFallback
@@ -116,14 +155,47 @@ def stack_curve(
             )
         except VectorFallback:
             pass
-    return simulate_stack(
-        packed,
-        cache_sizes,
-        policy,
-        read_elision=read_elision,
-        invalidate_on_delete=invalidate_on_delete,
-        checkpoint_time=checkpoint_time,
+    sizes, caps, index = _curve_shape(packed, cache_sizes, policy)
+    runs = [
+        simulate_packed(
+            packed,
+            cap * packed.block_size,
+            policy,
+            read_elision=read_elision,
+            invalidate_on_delete=invalidate_on_delete,
+            checkpoint_time=checkpoint_time,
+        )
+        for cap in caps
+    ]
+    # Whether the checkpoint is reached depends on the times alone, so
+    # every run agrees on it.
+    reached = runs[0].checkpoint is not None
+    return StackCurve(
+        block_size=packed.block_size,
+        cache_sizes=sizes,
+        index=index,
+        final=[run.metrics for run in runs],
+        checkpoint=[run.checkpoint for run in runs] if reached else None,
     )
+
+
+def _curve_shape(
+    packed: PackedStream, cache_sizes: tuple[int, ...], policy: PolicySpec
+) -> tuple[tuple[int, ...], list[int], dict[int, int]]:
+    """Validate a curve request: sizes, sorted capacities, size -> slot."""
+    if policy.policy is not WritePolicy.WRITE_THROUGH:
+        raise ValueError(
+            "the one-pass stack simulator is exact only under write-through; "
+            f"got {policy.label!r} — use simulate_packed per configuration"
+        )
+    bs = packed.block_size
+    sizes = tuple(cache_sizes)
+    caps = sorted({size // bs for size in sizes})
+    if not caps:
+        raise ValueError("no cache sizes given")
+    if caps[0] < 1:
+        raise ValueError("cache smaller than one block")
+    return sizes, caps, {size: caps.index(size // bs) for size in sizes}
 
 
 def replay_packed(
@@ -226,23 +298,9 @@ def stack_curve_numpy(
     invalidate_on_delete: bool = True,
     checkpoint_time: float | None = None,
 ) -> StackCurve:
-    """Vectorized :func:`~repro.parallel.stack.simulate_stack`."""
-    if np is None:  # pragma: no cover - guarded by resolve_engine at call sites
-        raise RuntimeError("numpy is not available")
-    if policy.policy is not WritePolicy.WRITE_THROUGH:
-        raise ValueError(
-            "the one-pass stack simulator is exact only under write-through; "
-            f"got {policy.label!r} — use simulate_packed per configuration"
-        )
-    bs = packed.block_size
-    sizes = tuple(cache_sizes)
-    caps_list = sorted({size // bs for size in sizes})
-    if not caps_list:
-        raise ValueError("no cache sizes given")
-    if caps_list[0] < 1:
-        raise ValueError("cache smaller than one block")
+    """The numpy one-pass curve (see the module docstring)."""
+    sizes, caps_list, index = _curve_shape(packed, cache_sizes, policy)
     m = len(caps_list)
-    index = {size: caps_list.index(size // bs) for size in sizes}
     caps = np.asarray(caps_list, dtype=np.int64)
 
     ops = np.frombuffer(packed.ops, dtype=np.uint8)
@@ -256,7 +314,7 @@ def stack_curve_numpy(
             "packed keys outside the vector kernel's encodable range",
         )
 
-    # Checkpoint cut: the oracle snapshots before the first row whose
+    # Checkpoint cut: the replay snapshots before the first row whose
     # timestamp reaches checkpoint_time (NaN never compares true there,
     # matching `t >= cp_at`).  Every counter below increments at a known
     # row, so the snapshot is the same histogram restricted to rows < cut.
@@ -272,7 +330,7 @@ def stack_curve_numpy(
     final = _assemble(state, None, caps, m, read_elision)
     cp = _assemble(state, cut, caps, m, read_elision) if cut is not None else None
     return StackCurve(
-        block_size=bs,
+        block_size=packed.block_size,
         cache_sizes=sizes,
         index=index,
         final=final,
@@ -327,7 +385,7 @@ def _curve_rows(ops, keys, n, caps, m, invalidate_on_delete):
 
     # First qualifying invalidation row after each access: the earliest
     # inval row j > row(i) with inv_fid == fid(key) and inv_key <= key
-    # (the oracle's "kill every live k >= inv_key of this file" scan).
+    # (the replay's "kill every live k >= inv_key of this file" scan).
     # Only accesses with a same-file invalidation still ahead take part
     # in the binary descent.
     first_inv_row = np.full(na, n, dtype=np.int64)  # n == "never"

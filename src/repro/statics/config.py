@@ -67,7 +67,6 @@ HOT_MODULES: tuple[str, ...] = (
     "repro.cache.simulator",
     "repro.cache.stream",
     "repro.parallel.packed",
-    "repro.parallel.stack",
     "repro.netfs.events",
     "repro.trace.columns",
     "repro.trace.records",
@@ -114,7 +113,6 @@ COLUMN_ORACLE_MODULES: tuple[str, ...] = (
     "repro.corpus.stream",
     "repro.corpus.writer",
     "repro.parallel.packed",
-    "repro.parallel.stack",
     "repro.trace.columns",
     "repro.trace.io_binary",
     "repro.trace.validate",

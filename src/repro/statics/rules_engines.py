@@ -5,8 +5,9 @@ contract around every ``resolve_engine`` dispatch:
 
 1. the numpy branch calls a convention-named kernel (``*_numpy`` /
    ``Vectorized*``);
-2. a pure-Python **oracle twin** remains reachable when numpy is
-   absent, accepting the same knobs (the slow path *is* the spec);
+2. a pure-Python **oracle twin** remains reachable at
+   ``engine="python"`` and on ``VectorFallback``, accepting the same
+   knobs (the slow path *is* the spec);
 3. a :mod:`repro.fuzz` pillar drives both engines differentially, so
    "bit-identical" stays an enforced property rather than a comment.
 

@@ -13,26 +13,21 @@ native-endian by construction, and :class:`~repro.corpus.reader.CorpusReader`
 already normalizes segment columns to native order (zero-copy casts on
 little-endian hosts, byteswapped copies on big-endian ones).
 
-numpy is strictly optional.  :func:`numpy_available` is the single
-gate: it is False when numpy is not importable *or* when the
-``REPRO_NO_NUMPY`` environment variable is set, and every dispatch site
-(:func:`resolve_engine`) honors it, so the pure-Python paths keep
-working — and keep being exercised — without numpy installed.
+numpy is a required dependency.  Every dispatch site still goes
+through :func:`resolve_engine`: ``auto`` and ``numpy`` run the numpy
+kernels, and ``python`` runs the pure-Python references those kernels
+are differenced against.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - types only
     from .columns import TraceColumns
-
-try:  # pragma: no cover - exercised via both CI matrix legs
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = [
     "ENGINES",
@@ -52,34 +47,21 @@ ENGINES = ("auto", "python", "numpy")
 
 
 def numpy_available() -> bool:
-    """True when the numpy fast path may be used.
-
-    ``REPRO_NO_NUMPY=1`` (any non-empty value) disables it even with
-    numpy installed — the escape hatch for debugging and for the CI leg
-    that keeps the fallback path honest.
-    """
-    return np is not None and not os.environ.get("REPRO_NO_NUMPY")
+    """Always True: numpy is a required dependency."""
+    return True
 
 
 def resolve_engine(engine: str) -> str:
     """Map an ``auto``/``python``/``numpy`` request to a concrete engine.
 
-    ``auto`` picks numpy when available, else python.  Requesting
-    ``numpy`` explicitly when it cannot run is an error, not a silent
-    fallback — the caller asked for the fast path and should know.
+    ``auto`` resolves to ``numpy``; ``python`` selects the pure-Python
+    references instead of the numpy kernels.
     """
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
         )
-    if engine == "auto":
-        return "numpy" if numpy_available() else "python"
-    if engine == "numpy" and not numpy_available():
-        raise RuntimeError(
-            "numpy engine requested but numpy is unavailable "
-            "(not installed, or disabled via REPRO_NO_NUMPY)"
-        )
-    return engine
+    return "numpy" if engine == "auto" else engine
 
 
 _ambient_engine: str | None = None
@@ -87,8 +69,7 @@ _ambient_engine: str | None = None
 
 def current_engine() -> str:
     """The ambient engine name: the innermost :func:`engine_context`,
-    else ``"auto"`` (resolve at use time, so ``REPRO_NO_NUMPY`` and
-    import availability are honored wherever the choice lands)."""
+    else ``"auto"`` (resolved at each dispatch site)."""
     return _ambient_engine if _ambient_engine is not None else "auto"
 
 
@@ -164,7 +145,5 @@ class ColumnViews:
 
 
 def column_views(cols: "TraceColumns") -> ColumnViews:
-    """Zero-copy numpy views over *cols* (requires numpy)."""
-    if np is None:  # pragma: no cover - guarded by callers
-        raise RuntimeError("numpy is not available")
+    """Zero-copy numpy views over *cols*."""
     return ColumnViews(cols)

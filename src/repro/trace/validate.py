@@ -189,8 +189,9 @@ def validate_columns(
     Walks the flat columns — no event objects are built — and layers on
     the storage-level checks: u32 centisecond time range, known kind
     tags, and flag bytes holding only defined bits.  *engine* selects the
-    implementation: ``"auto"`` uses the numpy fast path when available,
-    ``"python"``/``"numpy"`` force one side; both produce identical
+    implementation: ``"auto"`` uses the numpy fast path (the Python
+    loop when the kernel declines the input), ``"python"``/``"numpy"``
+    force one side; both produce identical
     reports (fuzz pillar 5 checks this continuously).
     """
     if resolve_engine(engine) == "numpy":

@@ -103,18 +103,6 @@ class TestReadOnlyCommands:
         assert main(["analyze", trace_file, "--report", "lifetimes"]) == 0
         assert "new files" in capsys.readouterr().out
 
-    def test_engine_unavailable_is_a_usage_error(
-        self, trace_file, capsys, monkeypatch
-    ):
-        # Availability is checked at parse time, so asking for the numpy
-        # engine without numpy exits 2 with a usage message, not a
-        # traceback.
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", trace_file, "--engine", "numpy"])
-        assert exc.value.code == 2
-        assert "numpy is unavailable" in capsys.readouterr().err
-
 
 class TestSimulation:
     def test_simulate(self, trace_file, capsys):

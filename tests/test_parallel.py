@@ -1,6 +1,6 @@
 """Differential tests for :mod:`repro.parallel`.
 
-The packed fast path and the one-pass stack simulator are only worth
+The packed fast path and the one-pass stack curve are only worth
 having if they are *bit-identical* to the reference
 :class:`~repro.cache.simulator.BlockCacheSimulator` — the sweeps swap
 them in silently, so any divergence would corrupt exhibits.  These tests
@@ -44,7 +44,7 @@ from repro.parallel.packed import (
     pack_stream,
     simulate_packed,
 )
-from repro.parallel.stack import simulate_stack
+from repro.parallel.veccache import stack_curve
 from repro.trace.records import UnlinkEvent
 
 ALL_POLICIES = (WRITE_THROUGH, FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE)
@@ -208,20 +208,20 @@ class TestPackedEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# The one-pass stack simulator
+# The one-pass stack curve
 # ---------------------------------------------------------------------------
 
 
 class TestStackCurve:
     def test_matches_reference_across_paper_sizes(self, stream, packed):
-        curve = simulate_stack(packed, PAPER_CACHE_SIZES)
+        curve = stack_curve(packed, PAPER_CACHE_SIZES)
         for size in PAPER_CACHE_SIZES:
             sim = BlockCacheSimulator(cache_bytes=size, policy=WRITE_THROUGH)
             assert curve.metrics(size) == sim.run(stream)
 
     def test_checkpoints_match(self, small_trace, stream, packed):
         cp = small_trace.start_time + small_trace.duration / 2
-        curve = simulate_stack(packed, PAPER_CACHE_SIZES, checkpoint_time=cp)
+        curve = stack_curve(packed, PAPER_CACHE_SIZES, checkpoint_time=cp)
         for size in (PAPER_CACHE_SIZES[0], PAPER_CACHE_SIZES[-1]):
             sim = BlockCacheSimulator(cache_bytes=size, policy=WRITE_THROUGH)
             ref = sim.run(stream, checkpoint_time=cp)
@@ -232,13 +232,13 @@ class TestStackCurve:
         items = _invalidation_heavy_stream()
         packed = pack_stream(items, 4096)
         sizes = (8 * 1024, 16 * 1024, 64 * 1024, 1 << 20)
-        curve = simulate_stack(packed, sizes)
+        curve = stack_curve(packed, sizes)
         for size in sizes:
             sim = BlockCacheSimulator(cache_bytes=size, policy=WRITE_THROUGH)
             assert curve.metrics(size) == sim.run(items)
 
     def test_no_read_elision(self, stream, packed):
-        curve = simulate_stack(packed, (390 * 1024,), read_elision=False)
+        curve = stack_curve(packed, (390 * 1024,), read_elision=False)
         sim = BlockCacheSimulator(cache_bytes=390 * 1024,
                                   policy=WRITE_THROUGH, read_elision=False)
         assert curve.metrics(390 * 1024) == sim.run(stream)
@@ -246,10 +246,10 @@ class TestStackCurve:
     def test_rejects_stateful_write_policies(self, packed):
         for policy in (FLUSH_30S, FLUSH_5MIN, DELAYED_WRITE):
             with pytest.raises(ValueError):
-                simulate_stack(packed, (64 * 1024,), policy=policy)
+                stack_curve(packed, (64 * 1024,), policy=policy)
 
     def test_unknown_size_rejected(self, packed):
-        curve = simulate_stack(packed, (64 * 1024,))
+        curve = stack_curve(packed, (64 * 1024,))
         with pytest.raises(KeyError):
             curve.metrics(999)
 

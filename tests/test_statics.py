@@ -690,7 +690,7 @@ def test_packed_column_loop_and_tolist_alias_flagged(tmp_path):
 
 def test_packed_column_loop_allowed_in_stack_oracle_and_statics(tmp_path):
     source = "def f(packed):\n    for k in packed.keys:\n        print(k)\n"
-    assert _lint_source(tmp_path, "repro/parallel/stack.py", source).ok
+    assert _lint_source(tmp_path, "repro/parallel/packed.py", source).ok
     # The linter's own AST walks (`node.ops`, `node.keys`) collide with
     # the packed column names; the package is exempt.
     assert _lint_source(tmp_path, "repro/statics/newrule.py", source).ok

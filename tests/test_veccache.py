@@ -1,11 +1,12 @@
 """Differential tests for the vectorized cache engine and its plumbing.
 
-:mod:`repro.parallel.veccache` claims bit-identity with the one-pass
-stack oracle (:func:`~repro.parallel.stack.simulate_stack`) and the
-packed replayer; the sweeps and the CLI swap the fast path in silently,
-so any divergence would corrupt Figure 5/6/7 exhibits.  These tests pin
-that equivalence where the kernel is most at risk — hole-heavy streams,
-empty and single-block edges — plus the ``.bpack`` on-disk format, the
+:mod:`repro.parallel.veccache` claims bit-identity with the reference
+:class:`~repro.cache.simulator.BlockCacheSimulator` run once per cache
+size; the sweeps and the CLI swap the fast path in silently, so any
+divergence would corrupt Figure 5/6/7 exhibits.  These tests pin that
+equivalence where the kernel is most at risk — hole-heavy streams,
+empty and single-block edges — and for the per-size replay that
+``stack_curve`` falls back to, plus the ``.bpack`` on-disk format, the
 zero-copy sweep fan-out (``pack_dir``/payload resolution), the
 engine-keyed memo, and the ``--engine``/``--pack-cache`` CLI plumbing.
 """
@@ -48,7 +49,6 @@ from repro.parallel.bpack import (
 )
 from repro.parallel.executor import resolve_payload
 from repro.parallel.packed import cached_packed_stream, pack_stream
-from repro.parallel.stack import simulate_stack
 from repro.parallel.veccache import (
     replay_packed,
     simulate_packed_numpy,
@@ -56,13 +56,9 @@ from repro.parallel.veccache import (
     stack_curve_numpy,
 )
 from repro.trace.log import TraceLog
-from repro.trace.npview import current_engine, engine_context, numpy_available
+from repro.trace.npview import current_engine, engine_context
 from repro.workload.generator import generate
 from repro.workload.profiles import UCBARPA
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy unavailable"
-)
 
 SIZES = (4096, 8 * 4096, 64 * 4096)
 KNOBS = (
@@ -106,12 +102,24 @@ def _hole_heavy_stream():
     return items
 
 
-def _assert_curves_identical(packed, sizes, **kwargs):
-    ref = simulate_stack(packed, sizes, WRITE_THROUGH, **kwargs)
-    fast = stack_curve_numpy(packed, sizes, WRITE_THROUGH, **kwargs)
+def _assert_curves_identical(
+    packed, items, sizes, curve_fn=stack_curve_numpy, **kwargs
+):
+    """*curve_fn*'s curve over *packed* (compiled from *items*) equals one
+    :class:`BlockCacheSimulator` run per size on *items*, checkpoints
+    included."""
+    curve = curve_fn(packed, sizes, WRITE_THROUGH, **kwargs)
+    checkpoint_time = kwargs.pop("checkpoint_time", None)
     for size in sizes:
-        assert fast.metrics(size) == ref.metrics(size), f"size={size}"
-        assert fast.checkpoint(size) == ref.checkpoint(size), f"size={size}"
+        sim = BlockCacheSimulator(cache_bytes=size, block_size=packed.block_size,
+                                  policy=WRITE_THROUGH, **kwargs)
+        ref = sim.run(items, checkpoint_time=checkpoint_time)
+        assert curve.metrics(size) == ref, f"size={size}"
+        assert curve.checkpoint(size) == sim.checkpoint, f"size={size}"
+
+
+def _python_curve(packed, sizes, policy, **kwargs):
+    return stack_curve(packed, sizes, policy, engine="python", **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -119,34 +127,32 @@ def _assert_curves_identical(packed, sizes, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-@needs_numpy
 class TestHoleHeavyDifferential:
     @pytest.mark.parametrize("kwargs", KNOBS)
     def test_matches_oracle_across_knobs(self, kwargs):
-        packed = pack_stream(_hole_heavy_stream(), 4096)
-        _assert_curves_identical(packed, SIZES, **kwargs)
+        items = _hole_heavy_stream()
+        _assert_curves_identical(pack_stream(items, 4096), items, SIZES, **kwargs)
 
     def test_matches_oracle_with_checkpoint(self):
-        packed = pack_stream(_hole_heavy_stream(), 4096)
+        items = _hole_heavy_stream()
+        packed = pack_stream(items, 4096)
         mid = packed.times[len(packed) // 2]
-        _assert_curves_identical(packed, SIZES, checkpoint_time=mid)
+        _assert_curves_identical(packed, items, SIZES, checkpoint_time=mid)
 
     def test_random_traces_with_small_caches(self):
         # Tiny caches keep the stack boundaries inside the hole churn.
         sizes = tuple(c * 512 for c in (1, 2, 3, 7, 50))
         for seed in range(4):
             log = random_trace(random.Random(f"veccache:{seed}"), 300)
-            packed = pack_stream(
-                build_stream(log), 512, start_time=log.start_time
-            )
-            _assert_curves_identical(packed, sizes)
+            items = build_stream(log)
+            packed = pack_stream(items, 512, start_time=log.start_time)
+            _assert_curves_identical(packed, items, sizes)
 
 
-@needs_numpy
 class TestEdgeCases:
     def test_empty_stream(self):
         packed = pack_stream([], 4096)
-        _assert_curves_identical(packed, SIZES)
+        _assert_curves_identical(packed, [], SIZES)
         run = simulate_packed_numpy(packed, 4096, WRITE_THROUGH)
         assert run.metrics.read_accesses == 0
         assert run.metrics.disk_reads == 0
@@ -158,13 +164,13 @@ class TestEdgeCases:
         ]
         packed = pack_stream(items, 4096)
         assert packed.n_accesses == 0
-        _assert_curves_identical(packed, SIZES)
+        _assert_curves_identical(packed, items, SIZES)
 
     def test_single_block_single_access(self):
         items = [Transfer(time=0.0, file_id=1, user_id=1,
                           start=0, end=100, is_write=False)]
         packed = pack_stream(items, 4096)
-        _assert_curves_identical(packed, (4096,))
+        _assert_curves_identical(packed, items, (4096,))
         run = simulate_packed_numpy(packed, 4096, WRITE_THROUGH)
         assert run.metrics.disk_reads == 1
 
@@ -177,7 +183,67 @@ class TestEdgeCases:
             for i in range(30)
         ]
         packed = pack_stream(items, 4096)
-        _assert_curves_identical(packed, (4096, 2 * 4096))
+        _assert_curves_identical(packed, items, (4096, 2 * 4096))
+
+
+# ---------------------------------------------------------------------------
+# The per-size replay behind stack_curve
+# ---------------------------------------------------------------------------
+
+
+def _wide_file_id_stream():
+    """File ids at 2**32 and up: packable, but past the kernel's range."""
+    base = 1 << 32
+    items = [
+        Transfer(time=float(i), file_id=base + i % 3, user_id=1,
+                 start=(i % 2) * 4096, end=4096 * (1 + i % 4),
+                 is_write=i % 3 == 0)
+        for i in range(40)
+    ]
+    items.insert(20, Invalidation(time=19.5, file_id=base + 1, from_byte=4096))
+    return items
+
+
+class TestCurveFallback:
+    def test_kernel_declines_wide_file_ids(self):
+        from repro.analysis.vectorized import VectorFallback
+
+        with pytest.raises(VectorFallback):
+            stack_curve_numpy(pack_stream(_wide_file_id_stream(), 4096), SIZES)
+
+    @pytest.mark.parametrize("kwargs", KNOBS)
+    def test_declined_stream_matches_reference(self, kwargs):
+        items = _wide_file_id_stream()
+        packed = pack_stream(items, 4096)
+        for checkpoint_time in (None, 10.0, packed.times[-1] + 1.0):
+            _assert_curves_identical(
+                packed, items, SIZES, curve_fn=stack_curve,
+                checkpoint_time=checkpoint_time, **kwargs,
+            )
+
+    def test_python_engine_on_small_trace(self, small_trace):
+        items = cached_stream(small_trace)
+        packed = cached_packed_stream(small_trace, 4096)
+        mid = small_trace.start_time + small_trace.duration / 2
+        sizes = (4096, 64 * 1024, 390 * 1024, 390 * 1024 + 100, 4 << 20)
+        _assert_curves_identical(
+            packed, items, sizes, curve_fn=_python_curve, checkpoint_time=mid
+        )
+
+    @pytest.mark.parametrize("engine", ["python", "numpy"])
+    @pytest.mark.parametrize(
+        "sizes, policy, match",
+        [
+            ((), WRITE_THROUGH, "no cache sizes"),
+            ((4096, 100), WRITE_THROUGH, "smaller than one block"),
+            ((4096,), DELAYED_WRITE, "only under write-through"),
+        ],
+    )
+    def test_same_errors_as_kernel(self, engine, sizes, policy, match):
+        for items in (_hole_heavy_stream(), _wide_file_id_stream()):
+            packed = pack_stream(items, 4096)
+            with pytest.raises(ValueError, match=match):
+                stack_curve(packed, sizes, policy, engine=engine)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +253,11 @@ class TestEdgeCases:
 
 class TestDispatch:
     def test_python_engine_is_the_oracle(self):
-        packed = pack_stream(_hole_heavy_stream(), 4096)
-        ref = simulate_stack(packed, SIZES, WRITE_THROUGH)
-        got = stack_curve(packed, SIZES, WRITE_THROUGH, engine="python")
-        for size in SIZES:
-            assert got.metrics(size) == ref.metrics(size)
+        items = _hole_heavy_stream()
+        _assert_curves_identical(
+            pack_stream(items, 4096), items, SIZES, curve_fn=_python_curve
+        )
 
-    @needs_numpy
     def test_auto_engine_matches_python(self):
         packed = pack_stream(_hole_heavy_stream(), 4096)
         for size in SIZES:
@@ -211,7 +275,6 @@ class TestDispatch:
         got = replay_packed(packed, 8 * 4096, DELAYED_WRITE, flush_epoch=0.0)
         assert got == ref
 
-    @needs_numpy
     def test_simulate_packed_numpy_rejects_stateful(self):
         from repro.analysis.vectorized import VectorFallback
         from repro.cache.policies import DELAYED_WRITE
@@ -245,14 +308,12 @@ class TestEngineKeyedMemo:
         a = cached_packed_stream(small_trace, 4096, engine="python")
         assert cached_packed_stream(small_trace, 4096, engine="python") is a
 
-    @needs_numpy
     def test_engines_never_collapse(self, small_trace):
         py = cached_packed_stream(small_trace, 4096, engine="python")
         fast = cached_packed_stream(small_trace, 4096, engine="numpy")
         assert fast is not py  # differential harness keeps two sides
         assert fast == py  # ... which are bit-identical by contract
 
-    @needs_numpy
     def test_auto_shares_the_resolved_entry(self, small_trace):
         fast = cached_packed_stream(small_trace, 4096, engine="numpy")
         assert cached_packed_stream(small_trace, 4096, engine="auto") is fast
@@ -286,10 +347,7 @@ class TestBpack:
         path = tmp_path / "s.bpack"
         write_bpack(packed, path)
         disk = read_bpack(path)
-        ref = simulate_stack(packed, SIZES, WRITE_THROUGH)
-        got = simulate_stack(disk, SIZES, WRITE_THROUGH)
-        for size in SIZES:
-            assert got.metrics(size) == ref.metrics(size)
+        _assert_curves_identical(disk, _hole_heavy_stream(), SIZES)
 
     def test_truncated_file_rejected(self, tmp_path, packed):
         path = tmp_path / "s.bpack"
@@ -384,8 +442,6 @@ def _reference(log, cache_bytes, policy, block_size=4096, paging=False):
 class TestSweepFanout:
     @pytest.mark.parametrize("engine", ["python", "numpy"])
     def test_policy_sweep_parity(self, small_trace, tmp_path, engine):
-        if engine == "numpy" and not numpy_available():
-            pytest.skip("numpy unavailable")
         packed = cache_size_policy_sweep(
             small_trace, cache_sizes=SWEEP_SIZES, jobs=2,
             engine=engine, pack_dir=tmp_path,
@@ -510,7 +566,6 @@ class TestCLIEngine:
             name.endswith(".bpack") for name in os.listdir(pack_dir)
         )
 
-    @needs_numpy
     def test_sweep_numpy_engine_matches_python(self, trace_file, capsys):
         assert main(["sweep", trace_file, "--kind", "policy", "--jobs", "2",
                      "--engine", "numpy"]) == 0
