@@ -82,7 +82,7 @@ def assemble_burstiness(
     user_bytes: dict[tuple[int, int], int],
 ) -> BurstinessReport:
     """Assemble the report from pre-windowed tallies (shared with the
-    one-pass analyzer, which fills the windows in its fused loop)."""
+    numpy analyzer, which fills the windows with whole-column counts)."""
     total_opens = sum(opens)
     mean_rate = total_opens / duration if duration else 0.0
     peak_rate = max(opens) / window if opens else 0.0

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from ..cache.policies import DELAYED_WRITE
 from ..cache.sweep import simulate_cache
 from ..trace.log import TraceLog
+from ..trace.npview import current_engine
 from .onepass import analyze_onepass
 from .report import render_table
 
@@ -39,9 +40,9 @@ class TraceHeadline:
 
 
 def headline(log: TraceLog) -> TraceHeadline:
-    """Compute one trace's headline row (one fused analysis pass plus the
-    cache simulation)."""
-    r = analyze_onepass(log)
+    """Compute one trace's headline row (the memoized analysis report
+    plus the cache simulation)."""
+    r = analyze_onepass(log, engine=current_engine())
     cache = simulate_cache(log, 4 * _MB, policy=DELAYED_WRITE)
     return TraceHeadline(
         name=log.name,

@@ -14,7 +14,7 @@ from ..trace.log import TraceLog
 from .accesses import FileAccess, reconstruct_accesses
 from .cdf import Cdf
 
-__all__ = ["open_time_cdf", "open_time_cdf_from_accesses", "open_time_summary"]
+__all__ = ["open_time_cdf", "open_time_summary"]
 
 
 def open_time_cdf(
@@ -23,11 +23,6 @@ def open_time_cdf(
     """Figure 3: CDF of how long files stayed open."""
     if accesses is None:
         accesses = reconstruct_accesses(log)
-    return open_time_cdf_from_accesses(accesses)
-
-
-def open_time_cdf_from_accesses(accesses: list[FileAccess]) -> Cdf:
-    """Figure 3 from pre-reconstructed accesses (no trace needed)."""
     return Cdf.from_samples(a.duration for a in accesses)
 
 

@@ -20,9 +20,7 @@ __all__ = [
     "ModeCounts",
     "SequentialityReport",
     "analyze_sequentiality",
-    "sequentiality_from_accesses",
     "run_length_cdfs",
-    "run_length_cdfs_from_accesses",
 ]
 
 
@@ -122,14 +120,7 @@ def analyze_sequentiality(
     second replay when several analyses run on one trace."""
     if accesses is None:
         accesses = reconstruct_accesses(log)
-    return sequentiality_from_accesses(log.name, accesses)
-
-
-def sequentiality_from_accesses(
-    trace_name: str, accesses: list[FileAccess]
-) -> SequentialityReport:
-    """Table V from pre-reconstructed accesses (no trace needed)."""
-    report = SequentialityReport(trace_name=trace_name)
+    report = SequentialityReport(trace_name=log.name)
     for access in accesses:
         counts = report.mode(access.mode)
         nbytes = access.bytes_transferred
@@ -155,11 +146,6 @@ def run_length_cdfs(
     """
     if accesses is None:
         accesses = reconstruct_accesses(log)
-    return run_length_cdfs_from_accesses(accesses)
-
-
-def run_length_cdfs_from_accesses(accesses: list[FileAccess]) -> tuple[Cdf, Cdf]:
-    """Figure 1 from pre-reconstructed accesses (no trace needed)."""
     lengths = [run.length for access in accesses for run in access.runs]
     by_runs = Cdf.from_samples(lengths)
     by_bytes = Cdf.from_samples(lengths, weights=lengths)

@@ -14,7 +14,7 @@ from ..trace.log import TraceLog
 from .accesses import FileAccess, reconstruct_accesses
 from .cdf import Cdf
 
-__all__ = ["file_size_cdfs", "file_size_cdfs_from_accesses", "size_summary"]
+__all__ = ["file_size_cdfs", "size_summary"]
 
 
 def file_size_cdfs(
@@ -28,11 +28,6 @@ def file_size_cdfs(
     """
     if accesses is None:
         accesses = reconstruct_accesses(log)
-    return file_size_cdfs_from_accesses(accesses)
-
-
-def file_size_cdfs_from_accesses(accesses: list[FileAccess]) -> tuple[Cdf, Cdf]:
-    """Figure 2 from pre-reconstructed accesses (no trace needed)."""
     sizes = [float(a.size_at_close) for a in accesses]
     weights = [float(a.bytes_transferred) for a in accesses]
     by_accesses = Cdf.from_samples(sizes)

@@ -19,7 +19,6 @@ from .report import format_bytes, render_table
 __all__ = [
     "UserSummary",
     "per_user_summary",
-    "fold_access_into_user",
     "render_user_table",
 ]
 
@@ -76,20 +75,16 @@ def per_user_summary(
         user.last_event = max(user.last_event, event.time)
 
     for access in accesses:
-        fold_access_into_user(summary(access.user_id), access)
+        user = summary(access.user_id)
+        user.files_touched.add(access.file_id)
+        nbytes = access.bytes_transferred
+        if access.mode.writable:
+            user.bytes_written += nbytes
+        else:
+            user.bytes_read += nbytes
+        user.last_event = max(user.last_event, access.close_time)
 
     return users
-
-
-def fold_access_into_user(user: UserSummary, access: FileAccess) -> None:
-    """Fold one reconstructed access into its owner's summary."""
-    user.files_touched.add(access.file_id)
-    nbytes = access.bytes_transferred
-    if access.mode.writable:
-        user.bytes_written += nbytes
-    else:
-        user.bytes_read += nbytes
-    user.last_event = max(user.last_event, access.close_time)
 
 
 def render_user_table(users: dict[int, UserSummary], top: int = 15) -> str:

@@ -1,18 +1,22 @@
 """numpy-vectorized fast paths for the hot trace-scan kernels.
 
-Three kernels ride here, each a whole-column reimplementation of a
-pure-Python reference that stays in the tree as the differential oracle
-(fuzz pillar 5 compares them continuously):
+Three kernels ride here.  Each is the one fast engine for a semantic
+whose readable pure-Python reference stays in the tree as the spec and
+the differential oracle (fuzz pillar 5 compares them continuously):
 
-* :class:`VectorizedCollector` — the one-pass analyzer
-  (:class:`~repro.analysis.onepass.OnePassCollector`).  Open/close/seek
-  session matching runs as a segmented cumulative-maximum over the
-  oid-grouped sub-rows; runs, per-access statistics, window activity,
-  burstiness and every CDF are whole-column arithmetic.  The report's
-  object-heavy fields (``accesses``, ``transfers``, ``lifetimes``,
-  ``popularity``) are materialized lazily on first attribute access —
-  eagerly building tens of thousands of dataclass instances would cost
-  more than the entire vectorized scan.
+* :class:`VectorizedCollector` — the reference-pattern analyzer behind
+  :func:`~repro.analysis.onepass.analyze_onepass` and
+  :func:`~repro.corpus.analyze_corpus`.  Its reference is
+  :func:`~repro.analysis.onepass.reference_report`, the per-module
+  analyzers run one after another.  Open/close/seek session matching
+  runs as a segmented cumulative-maximum over the oid-grouped sub-rows;
+  runs, per-access statistics, window activity, burstiness and every
+  CDF are whole-column arithmetic.  ``feed`` takes the whole trace or
+  one corpus segment at a time.  The report's object-heavy fields
+  (``accesses``, ``transfers``, ``lifetimes``, ``popularity``) are
+  materialized lazily on first attribute access — eagerly building tens
+  of thousands of dataclass instances would cost more than the entire
+  vectorized scan.
 * :class:`VectorizedValidator` — the columnar validator
   (:func:`~repro.trace.validate.validate_columns_into`).  Every check is
   a boolean reduction; problem rows are recovered with ``np.nonzero``
@@ -26,10 +30,10 @@ pure-Python reference that stays in the tree as the differential oracle
 per-event Python semantics the kernels cannot afford (NaN timestamps,
 unsorted times, integer magnitudes past the float53 exactness window,
 open rows with no mode bits), they raise :class:`VectorFallback` and the
-dispatch site reruns the pure-Python path — falling back is always
-correct, only slower.  Sequential dict semantics that are cheap because
-their domain is small (file lifetimes, cross-segment session carry) run
-as bounded Python mini-loops over pre-extracted rows.
+dispatch site reruns the reference — falling back is always correct,
+only slower.  Sequential dict semantics that are cheap because their
+domain is small (file lifetimes, cross-segment session carry) run as
+bounded Python mini-loops over pre-extracted rows.
 
 Dict/iteration order is replicated, not just values: users appear in
 first open/exec order, finished accesses in close order then a stable
@@ -59,6 +63,7 @@ from ..trace.columns import (
 )
 from ..trace.io_binary import MAX_TRACE_TIME
 from ..trace.npview import column_views, np
+from ..trace.records import AccessMode
 from ..trace.validate import (
     DEFAULT_MAX_PROBLEMS,
     ValidationReport,
@@ -69,7 +74,7 @@ from .activity import ActivityReport, WindowedActivity, _mean_std
 from .burstiness import assemble_burstiness
 from .cdf import Cdf
 from .lifetimes import Lifetime
-from .onepass import _MODE, OnePassReport
+from .onepass import OnePassReport
 from .popularity import popularity_from_accesses
 from .sequentiality import SequentialityReport
 from .users import UserSummary
@@ -88,6 +93,10 @@ __all__ = [
 #: the reference's mixed int/float arithmetic bit for bit.
 _F64_EXACT = 1 << 53
 
+#: Access mode by the flag byte's mode bits (0 never reaches a report:
+#: the collector declines open rows without mode bits).
+_MODE = (None, AccessMode.READ, AccessMode.WRITE, AccessMode.READ_WRITE)
+
 # Lifetime mini-loop event tags (merged in row order).
 _LT_KILL = 0  # unlink / truncate-to-zero / truncating open
 _LT_BIRTH = 1  # close of a creating open
@@ -95,7 +104,7 @@ _LT_BIRTH = 1  # close of a creating open
 
 class VectorFallback(Exception):
     """The vectorized kernel cannot replicate the reference on this
-    input; the caller must rerun the pure-Python path from scratch."""
+    input; the caller must rerun the reference from scratch."""
 
 
 def _require(condition: bool, why: str) -> None:
@@ -186,35 +195,37 @@ class _LiveSession:
 
 
 class VectorizedCollector:
-    """Drop-in vectorized :class:`~repro.analysis.onepass.OnePassCollector`.
+    """Resumable numpy analyzer state: feed columns, then finish.
 
-    Same constructor contract: *start*/*duration* describe the whole
-    trace that will be fed.  ``feed`` may be called once (the in-RAM
-    path) or per corpus segment; cross-segment session state is carried
-    in Python dicts that are only consolidated when a second ``feed``
-    actually arrives, so the single-chunk hot path never pays for them.
+    *trace* is the whole trace that will be fed, or anything that knows
+    its ``name``, ``start_time`` and ``duration`` up front (a
+    :class:`~repro.trace.columns.TraceColumns`, a
+    :class:`~repro.corpus.CorpusReader`): they size the burstiness
+    windows before the first row arrives.  ``feed`` may be called once
+    (the in-RAM path) or per corpus segment; cross-segment session state
+    is carried in Python dicts that are only consolidated when a second
+    ``feed`` actually arrives, so the single-chunk hot path never pays
+    for them.
     """
 
     def __init__(
         self,
-        name: str,
-        start: float,
-        duration: float,
+        trace,
         long_window: float = 600.0,
         short_window: float = 10.0,
         burst_window: float = 10.0,
     ):
         if burst_window <= 0:
             raise ValueError(f"window must be positive, got {burst_window}")
-        self.name = name
-        self.start = start
-        self.duration = duration
+        self.name = trace.name
+        self.start = trace.start_time
+        self.duration = trace.duration
         self.long_window = long_window
         self.short_window = short_window
         self.burst_window = burst_window
         self.events_fed = 0
 
-        self.b_duration = max(duration, burst_window)
+        self.b_duration = max(self.duration, burst_window)
         self.nb = max(1, math.ceil(self.b_duration / burst_window))
         self.opens_w = np.zeros(self.nb, dtype=np.int64)
         self.busy = np.zeros(self.nb, dtype=bool)
@@ -1548,15 +1559,11 @@ def analyze_columns_numpy(
     short_window: float = 10.0,
     burst_window: float = 10.0,
 ) -> OnePassReport:
-    """Vectorized :func:`~repro.analysis.onepass.analyze_onepass` over an
-    in-RAM columnar trace.  Raises :class:`VectorFallback` when the input
-    needs the pure-Python path."""
-    n = len(cols.kinds)
-    start = cols.times[0] if n else 0.0
-    duration = (cols.times[-1] - start) if n else 0.0
+    """The numpy engine of :func:`~repro.analysis.onepass.analyze_onepass`
+    over an in-RAM columnar trace.  Raises :class:`VectorFallback` when
+    the input needs the reference."""
     collector = VectorizedCollector(
-        cols.name, start, duration,
-        long_window=long_window, short_window=short_window,
+        cols, long_window=long_window, short_window=short_window,
         burst_window=burst_window,
     )
     collector.feed(cols)

@@ -39,17 +39,7 @@ import os
 import sys
 from pathlib import Path
 
-from ..analysis import (
-    analyze_activity,
-    analyze_onepass,
-    analyze_sequentiality,
-    collect_lifetimes,
-    daemon_spike_fraction,
-    open_time_cdf,
-    open_time_summary,
-    file_size_cdfs,
-    size_summary,
-)
+from ..analysis import analyze_onepass, open_time_summary, size_summary
 from ..cache.policies import (
     DELAYED_WRITE,
     FLUSH_30S,
@@ -240,7 +230,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _render_onepass_section(report, wanted: str) -> str:
-    """One section of a fused :class:`OnePassReport` by ``--report`` name."""
+    """One section of a :class:`OnePassReport` by ``--report`` name."""
     if wanted == "all":
         return report.render()
     if wanted == "activity":
@@ -267,45 +257,13 @@ def _render_onepass_section(report, wanted: str) -> str:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.trace.endswith(".bcorpus"):
-        # Out-of-core path: one streamed pass, then print the requested
-        # section — every section is a field of the fused report.
+        # Out-of-core path: one streamed pass over the segments.
         from ..corpus import analyze_corpus
 
-        print(_render_onepass_section(
-            analyze_corpus(args.trace, engine=args.engine), args.report
-        ))
-        return 0
-    log = _load_trace(args.trace)
-    wanted = args.report
-    if wanted == "all":
-        # The full report comes from the fused single-pass analyzer; the
-        # per-report branches below keep exercising the reference modules.
-        print(analyze_onepass(log, engine=args.engine).render())
-        return 0
-    if wanted in ("activity", "all"):
-        print(analyze_activity(log).render())
-    if wanted in ("sequentiality", "all"):
-        print(analyze_sequentiality(log).render())
-    if wanted in ("opentimes", "all"):
-        print(open_time_summary(open_time_cdf(log)))
-    if wanted in ("sizes", "all"):
-        print(size_summary(*file_size_cdfs(log)))
-    if wanted in ("users", "all"):
-        from ..analysis import per_user_summary, render_user_table
-
-        print(render_user_table(per_user_summary(log)))
-    if wanted in ("burstiness", "all"):
-        from ..analysis import analyze_burstiness
-
-        print(analyze_burstiness(log).render())
-    if wanted in ("lifetimes", "all"):
-        lifetimes = collect_lifetimes(log)
-        dead = [lt for lt in lifetimes if lt.lifetime is not None]
-        spike = 100 * daemon_spike_fraction(lifetimes)
-        print(
-            f"{len(lifetimes)} new files, {len(dead)} died during the trace; "
-            f"{spike:.0f}% of lifetimes in the 179-181 s daemon band"
-        )
+        report = analyze_corpus(args.trace, engine=args.engine)
+    else:
+        report = analyze_onepass(_load_trace(args.trace), engine=args.engine)
+    print(_render_onepass_section(report, args.report))
     return 0
 
 

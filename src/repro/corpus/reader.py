@@ -225,6 +225,16 @@ class CorpusReader:
     def segment_count(self) -> int:
         return len(self.stats)
 
+    @property
+    def start_time(self) -> float:
+        """Time of the first event, from the footer index (0.0 if empty)."""
+        return self.stats[0].time_first if self.stats else 0.0
+
+    @property
+    def duration(self) -> float:
+        """First-to-last event span, from the footer index."""
+        return (self.stats[-1].time_last - self.start_time) if self.stats else 0.0
+
     def __len__(self) -> int:
         return self.total_events
 

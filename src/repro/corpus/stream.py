@@ -1,13 +1,15 @@
 """Streaming analysis and validation over a corpus, segment by segment.
 
-Both entry points fold segments through the same state machines the
-in-RAM paths use — :class:`~repro.analysis.onepass.OnePassCollector` and
-the validator's ``_OpenTracker`` — so their results are **bit-identical**
-to loading the whole corpus into one ``TraceColumns`` and running
-``analyze_onepass`` / ``validate_columns`` on it, while peak memory
-stays O(segment) plus O(live analysis state).  The whole-trace facts the
-analyzer needs up front (start time and duration, which size the
-burstiness windows) come from the footer index, not from event data.
+:func:`analyze_corpus` feeds each segment to the numpy analyzer
+(:class:`~repro.analysis.vectorized.VectorizedCollector`) and
+:func:`validate_corpus` to the validator's state machines, so their
+results are **bit-identical** to loading the whole corpus into one
+``TraceColumns`` and running ``analyze_onepass`` / ``validate_columns``
+on it, while peak memory stays O(segment) plus O(live analysis state).
+The whole-trace facts the analyzer needs up front (start time and
+duration, which size the burstiness windows) come from the footer
+index, not from event data.  The analyzer's reference (at
+``engine="python"`` or on ``VectorFallback``) loads the whole corpus.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import os
 from typing import Union
 
-from ..analysis.onepass import OnePassCollector, OnePassReport
+from ..analysis.onepass import OnePassReport, reference_report
 from ..trace.npview import resolve_engine
 from ..trace.validate import (
     DEFAULT_MAX_PROBLEMS,
@@ -43,29 +45,26 @@ def analyze_corpus(
     burst_window: float = 10.0,
     engine: str = "auto",
 ) -> OnePassReport:
-    """Run the full one-pass analysis over a corpus without loading it.
+    """Run the full reference-pattern analysis over a corpus.
 
     *src* is a :class:`CorpusReader` (left open) or a path (opened and
     closed here).  The report is bit-identical to
     ``analyze_onepass(reader.to_columns())`` — checked continuously by
-    the fuzz harness's corpus pillar.  *engine* picks the scan
-    implementation; the numpy path views each segment's columns zero-copy
-    (straight into the mmap) and falls back to the Python collector by
-    re-reading the corpus when the input needs it.
+    the fuzz harness's corpus pillar.  The numpy engine views each
+    segment's columns zero-copy (straight into the mmap) and keeps only
+    O(segment) plus the live analysis state in memory.  At
+    ``engine="python"``, or when the engine declines the input, the
+    reference runs instead on the **whole corpus loaded into memory**
+    (``reader.to_columns()``): that path is not bounded-memory.
     """
     reader, own = _open(src)
     try:
-        stats = reader.stats
-        start = stats[0].time_first if stats else 0.0
-        duration = (stats[-1].time_last - start) if stats else 0.0
         if resolve_engine(engine) == "numpy":
             from ..analysis.vectorized import VectorFallback, VectorizedCollector
 
             try:
                 collector = VectorizedCollector(
-                    reader.name,
-                    start,
-                    duration,
+                    reader,
                     long_window=long_window,
                     short_window=short_window,
                     burst_window=burst_window,
@@ -74,18 +73,10 @@ def analyze_corpus(
                     collector.feed(cols)
                 return collector.finish()
             except VectorFallback:
-                pass  # segments re-iterate cleanly; rerun in Python
-        collector = OnePassCollector(
-            reader.name,
-            start,
-            duration,
-            long_window=long_window,
-            short_window=short_window,
-            burst_window=burst_window,
+                pass  # segments re-iterate cleanly; rerun the reference
+        return reference_report(
+            reader.to_columns().to_log(), long_window, short_window, burst_window
         )
-        for cols in reader.iter_segments():
-            collector.feed(cols)
-        return collector.finish()
     finally:
         if own:
             reader.close()

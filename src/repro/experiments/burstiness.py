@@ -9,8 +9,9 @@ overall conclusion that "file system activity is bursty".
 
 from __future__ import annotations
 
-from ..analysis.burstiness import analyze_burstiness
+from ..analysis.onepass import analyze_onepass
 from ..trace.log import TraceLog
+from ..trace.npview import current_engine
 from .base import ExperimentResult, register
 
 
@@ -21,7 +22,9 @@ from .base import ExperimentResult, register
     "bursty (10-second rates far above 10-minute averages)",
 )
 def run(log: TraceLog) -> ExperimentResult:
-    report = analyze_burstiness(log, window=10.0)
+    report = analyze_onepass(
+        log, burst_window=10.0, engine=current_engine()
+    ).burstiness
     return ExperimentResult(
         experiment_id="burstiness",
         title="Activity burstiness: open rates and per-user extremes",

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from ..analysis.onepass import analyze_onepass
 from ..analysis.report import render_cdf_ascii
-from ..analysis.sequentiality import run_length_cdfs
 from ..trace.log import TraceLog
+from ..trace.npview import current_engine
 from .base import ExperimentResult, register
 
 #: X grid in bytes (the paper plots 0-100 kilobytes).
@@ -22,7 +23,8 @@ def _kb(x: float) -> str:
     "granules); 30-40% of all bytes move in runs longer than 25 kbytes",
 )
 def run(log: TraceLog) -> ExperimentResult:
-    by_runs, by_bytes = run_length_cdfs(log)
+    report = analyze_onepass(log, engine=current_engine())
+    by_runs, by_bytes = report.run_length_by_runs, report.run_length_by_bytes
     rendered = "\n".join(
         [
             "(a) weighted by number of runs:",

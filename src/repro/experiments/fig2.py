@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from ..analysis.onepass import analyze_onepass
 from ..analysis.report import render_cdf_ascii
-from ..analysis.sizes import file_size_cdfs
 from ..trace.log import TraceLog
+from ..trace.npview import current_engine
 from .base import ExperimentResult, register
 
 #: X grid in bytes (the paper plots 0-200 kilobytes).
@@ -33,7 +34,8 @@ def _kb(x: float) -> str:
     "almost 20% of accesses",
 )
 def run(log: TraceLog) -> ExperimentResult:
-    by_accesses, by_bytes = file_size_cdfs(log)
+    report = analyze_onepass(log, engine=current_engine())
+    by_accesses, by_bytes = report.size_by_accesses, report.size_by_bytes
     rendered = "\n".join(
         [
             "(a) weighted by number of file accesses:",

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from ..analysis.opentimes import open_time_cdf
+from ..analysis.onepass import analyze_onepass
 from ..analysis.report import render_cdf_ascii
 from ..trace.log import TraceLog
+from ..trace.npview import current_engine
 from .base import ExperimentResult, register
 
 #: X grid in seconds (the paper plots 0-10 seconds).
@@ -18,7 +19,7 @@ GRID = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 300.0]
     "10 seconds; editor temporaries form a long tail",
 )
 def run(log: TraceLog) -> ExperimentResult:
-    cdf = open_time_cdf(log)
+    cdf = analyze_onepass(log, engine=current_engine()).open_times
     return ExperimentResult(
         experiment_id="fig3",
         title="Distribution of times that files were open",

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from ..analysis.lifetimes import (
-    collect_lifetimes,
-    daemon_spike_fraction,
-    lifetime_cdfs,
-)
+from ..analysis.onepass import analyze_onepass
 from ..analysis.report import render_cdf_ascii
 from ..trace.log import TraceLog
+from ..trace.npview import current_engine
 from .base import ExperimentResult, register
 
 #: X grid in seconds (the paper plots 0-500 seconds).
@@ -23,8 +20,8 @@ GRID = [10, 30, 60, 120, 178, 182, 200, 300, 400, 500]
     "accounts for ~40% of bytes written to new files",
 )
 def run(log: TraceLog) -> ExperimentResult:
-    lifetimes = collect_lifetimes(log)
-    by_files, by_bytes = lifetime_cdfs(log, lifetimes)
+    report = analyze_onepass(log, engine=current_engine())
+    by_files, by_bytes = report.lifetime_by_files, report.lifetime_by_bytes
     rendered = "\n".join(
         [
             "(a) weighted by number of files:",
@@ -38,7 +35,7 @@ def run(log: TraceLog) -> ExperimentResult:
             ),
             "",
             f"lifetimes in the 179-181 s daemon band: "
-            f"{100 * daemon_spike_fraction(lifetimes):.0f}% of all new files",
+            f"{100 * report.daemon_spike:.0f}% of all new files",
         ]
     )
     return ExperimentResult(
@@ -48,8 +45,8 @@ def run(log: TraceLog) -> ExperimentResult:
         data={
             "files_under_200s": by_files.fraction_at_or_below(200.0),
             "bytes_under_200s": by_bytes.fraction_at_or_below(200.0),
-            "daemon_spike": daemon_spike_fraction(lifetimes),
-            "new_files": len(lifetimes),
+            "daemon_spike": report.daemon_spike,
+            "new_files": len(report.lifetimes),
             "curve_files": by_files.evaluate(GRID),
             "curve_bytes": by_bytes.evaluate(GRID),
         },

@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..analysis.sizes import file_size_cdfs
+from ..analysis.onepass import analyze_onepass
 from ..analysis.staticscan import scan_disk
 from ..cache.policies import FLUSH_30S
 from ..cache.simulator import BlockCacheSimulator
 from ..cache.sweep import simulate_cache
 from ..cache.stream import build_stream
+from ..trace.npview import current_engine
 from ..trace.records import ExecEvent
 from ..trace.stats import total_bytes_transferred
 from ..workload.generator import GenerationResult
@@ -190,7 +191,8 @@ def other_io_estimate(result: GenerationResult) -> ExperimentResult:
 )
 def static_vs_dynamic(result: GenerationResult) -> ExperimentResult:
     scan = scan_disk(result.fs)
-    dynamic, _by_bytes = file_size_cdfs(result.trace)
+    report = analyze_onepass(result.trace, engine=current_engine())
+    dynamic = report.size_by_accesses
     rendered = "\n".join(
         [
             scan.render(),

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from ..analysis.accesses import reconstruct_accesses
-from ..analysis.activity import analyze_activity
-from ..analysis.lifetimes import collect_lifetimes, lifetime_cdfs
-from ..analysis.opentimes import open_time_cdf
-from ..analysis.sequentiality import analyze_sequentiality
+from ..analysis.onepass import analyze_onepass
 from ..cache.policies import DELAYED_WRITE, WRITE_THROUGH
 from ..cache.sweep import block_size_sweep, simulate_cache
 from ..trace.log import TraceLog
+from ..trace.npview import current_engine
 from .base import ExperimentResult, register
 
 
@@ -23,12 +20,11 @@ from .base import ExperimentResult, register
     "cache, 16 KB at 4 MB",
 )
 def run(log: TraceLog) -> ExperimentResult:
-    accesses = reconstruct_accesses(log)
-    activity = analyze_activity(log)
-    seq = analyze_sequentiality(log, accesses)
-    opens = open_time_cdf(log, accesses)
-    lifetimes = collect_lifetimes(log)
-    _lt_files, lt_bytes = lifetime_cdfs(log, lifetimes)
+    report = analyze_onepass(log, engine=current_engine())
+    activity = report.activity
+    seq = report.sequentiality
+    opens = report.open_times
+    lt_bytes = report.lifetime_by_bytes
 
     four_mb = 4 * 1024 * 1024
     wt = simulate_cache(log, four_mb, policy=WRITE_THROUGH)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from ..analysis.activity import analyze_activity
+from ..analysis.onepass import analyze_onepass
 from ..trace.log import TraceLog
+from ..trace.npview import current_engine
 from .base import ExperimentResult, register
 
 
@@ -15,7 +16,7 @@ from .base import ExperimentResult, register
     "kilobytes/sec each",
 )
 def run(log: TraceLog) -> ExperimentResult:
-    report = analyze_activity(log)
+    report = analyze_onepass(log, engine=current_engine()).activity
     return ExperimentResult(
         experiment_id="table4",
         title="System activity: active users and throughput per active user",

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from ..analysis.sequentiality import analyze_sequentiality
+from ..analysis.onepass import analyze_onepass
 from ..trace.log import TraceLog
+from ..trace.npview import current_engine
 from .base import ExperimentResult, register
 
 
@@ -16,7 +17,7 @@ from .base import ExperimentResult, register
     "sequential only 19-35% of the time; ~67% of bytes move sequentially",
 )
 def run(log: TraceLog) -> ExperimentResult:
-    report = analyze_sequentiality(log)
+    report = analyze_onepass(log, engine=current_engine()).sequentiality
     return ExperimentResult(
         experiment_id="table5",
         title="Sequentiality: whole-file and sequential access fractions",

@@ -1,7 +1,8 @@
 """Differential fuzzing and fault injection for the whole pipeline.
 
 The repo's correctness story is a chain of bit-identical pairs: the
-event and columnar binary writers, the nine per-module analyzers versus
+event and columnar binary writers, the nine per-module reference
+analyzers versus the numpy engine behind
 :func:`~repro.analysis.onepass.analyze_onepass`, and
 :class:`~repro.cache.simulator.BlockCacheSimulator` versus the packed
 replayer and the Mattson LRU stack.  This package turns each asserted
@@ -23,9 +24,11 @@ inputs:
   write-path equivalence, bit-exact segment round-trips,
   streamed-vs-in-RAM analyze/validate differentials, and
   :class:`CorpusFaultPlan` corruption schedules;
-* :mod:`repro.fuzz.engines` — the vectorized-engine pillar: the numpy
-  kernels of :mod:`repro.analysis.vectorized` (analyzer, validator,
-  packed-stream compiler) versus their pure-Python twins, required
+* :mod:`repro.fuzz.engines` — the vectorized-engine pillar: each numpy
+  kernel of :mod:`repro.analysis.vectorized` (analyzer, validator,
+  packed-stream compiler) versus its one pure-Python reference (for the
+  analyzer, the per-module analyzers that
+  :func:`~repro.analysis.onepass.reference_report` assembles), required
   bit-identical;
 * :mod:`repro.fuzz.policies` — the replacement-policy pillar: every zoo
   policy (:mod:`repro.cache.replacement`) replayed through the full

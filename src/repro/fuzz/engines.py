@@ -1,13 +1,14 @@
 """Pillar 5: the vectorized engine vs the pure-Python reference.
 
 Every numpy kernel in :mod:`repro.analysis.vectorized` claims
-bit-identity with its pure-Python twin; this pillar is the machine check
-of that claim on every seeded trace:
+bit-identity with its pure-Python reference; this pillar is the machine
+check of that claim on every seeded trace:
 
 * :func:`~repro.analysis.onepass.analyze_onepass` with
-  ``engine="numpy"`` vs ``engine="python"``, field for field including
-  the users dict order — single-shot and chunk-fed (the corpus segment
-  shape) at seed-chosen chunk sizes;
+  ``engine="numpy"`` vs ``engine="python"`` (the per-module analyzers,
+  assembled by :func:`~repro.analysis.onepass.reference_report`), field
+  for field including the users dict order — single-shot and chunk-fed
+  (the corpus segment shape) at seed-chosen chunk sizes;
 * :func:`~repro.trace.validate.validate_columns` on the clean trace
   *and* on a deterministically spoiled copy (mutations drawn from the
   round seed hit every problem family: time regressions, out-of-range
@@ -93,9 +94,7 @@ def _chunked_report(cols: TraceColumns, size: int):
     from ..analysis.vectorized import VectorizedCollector
 
     n = len(cols)
-    start = cols.times[0] if n else 0.0
-    duration = (cols.times[-1] - start) if n else 0.0
-    collector = VectorizedCollector(cols.name, start, duration)
+    collector = VectorizedCollector(cols)
     for lo in range(0, n, size):
         collector.feed(_slice_columns(cols, lo, lo + size))
     return collector.finish()

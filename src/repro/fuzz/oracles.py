@@ -6,8 +6,9 @@ standing bit-identical claims:
 
 * event writer vs columnar writer (byte-for-byte), and both readers
   round-tripping to the original events (:func:`check_io`);
-* :func:`~repro.analysis.onepass.analyze_onepass` vs the nine
-  per-module reference analyses, field for field (:func:`check_analysis`);
+* :func:`~repro.analysis.onepass.analyze_onepass` at its default
+  (numpy) engine vs the nine per-module reference analyses, field for
+  field (:func:`check_analysis`);
 * :class:`~repro.cache.simulator.BlockCacheSimulator` vs
   :func:`~repro.parallel.packed.simulate_packed` across write policies,
   and vs :func:`~repro.parallel.veccache.stack_curve` under
@@ -163,8 +164,8 @@ def _first_event_mismatch(a: list, b: list) -> int:
 
 
 def check_analysis(log: TraceLog) -> str | None:
-    """The fused one-pass analyzer vs every per-module reference, both on
-    the event log and on its columnar view."""
+    """``analyze_onepass`` vs every per-module reference, both on the
+    event log and on its columnar view."""
     for source_label, source in (("events", log), ("columns", TraceColumns.from_log(log))):
         r = analyze_onepass(source)
         lifetimes = collect_lifetimes(log)
@@ -195,8 +196,8 @@ def check_analysis(log: TraceLog) -> str | None:
             ),
             ("daemon_spike", r.daemon_spike, daemon_spike_fraction(lifetimes)),
         )
-        for name, fused, reference in pairs:
-            if fused != reference:
+        for name, got, reference in pairs:
+            if got != reference:
                 return (
                     f"analyze_onepass({source_label}) disagrees with the "
                     f"{name} reference"

@@ -108,9 +108,7 @@ COLUMN_ATTRS: frozenset[str] = TRACE_COLUMN_ATTRS | PACKED_COLUMN_ATTRS
 #: it through :mod:`repro.analysis.vectorized` or justify it with a
 #: ``repro: allow[REP-H003]`` comment.
 COLUMN_ORACLE_MODULES: tuple[str, ...] = (
-    "repro.analysis.onepass",
     "repro.corpus.reader",
-    "repro.corpus.stream",
     "repro.corpus.writer",
     "repro.parallel.packed",
     "repro.trace.columns",

@@ -7,6 +7,7 @@ a few hundred milliseconds and many modules want the same trace).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -60,6 +61,14 @@ def small_trace() -> TraceLog:
 def medium_trace() -> TraceLog:
     """A 2-hour A5 synthetic trace for shape assertions."""
     return generate(UCBARPA, seed=7, duration=7200.0).trace
+
+
+def assert_same_report(got, want) -> None:
+    """Field-for-field equality of two analysis reports, users dict
+    order included."""
+    for f in dataclasses.fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert list(got.users) == list(want.users)
 
 
 def make_simple_trace() -> TraceLog:

@@ -104,6 +104,73 @@ class TestReadOnlyCommands:
         assert "new files" in capsys.readouterr().out
 
 
+def _reference_section(log, wanted: str) -> str:
+    """One ``analyze --report`` section rendered straight from the
+    per-module reference analyzers."""
+    from repro.analysis import (
+        analyze_activity,
+        analyze_burstiness,
+        analyze_sequentiality,
+        collect_lifetimes,
+        daemon_spike_fraction,
+        file_size_cdfs,
+        open_time_cdf,
+        open_time_summary,
+        per_user_summary,
+        render_user_table,
+        size_summary,
+    )
+
+    def lifetimes() -> str:
+        lts = collect_lifetimes(log)
+        dead = [lt for lt in lts if lt.lifetime is not None]
+        spike = 100 * daemon_spike_fraction(lts)
+        return (
+            f"{len(lts)} new files, {len(dead)} died during the trace; "
+            f"{spike:.0f}% of lifetimes in the 179-181 s daemon band"
+        )
+
+    sections = {
+        "activity": lambda: analyze_activity(log).render(),
+        "sequentiality": lambda: analyze_sequentiality(log).render(),
+        "opentimes": lambda: open_time_summary(open_time_cdf(log)),
+        "sizes": lambda: size_summary(*file_size_cdfs(log)),
+        "users": lambda: render_user_table(per_user_summary(log)),
+        "burstiness": lambda: analyze_burstiness(log).render(),
+        "lifetimes": lifetimes,
+    }
+    if wanted == "all":
+        return "\n".join(render() for render in sections.values())
+    return sections[wanted]()
+
+
+@pytest.fixture(scope="module")
+def binary_and_corpus(tmp_path_factory):
+    from repro.corpus import pack_trace
+
+    root = tmp_path_factory.mktemp("analyze")
+    btrace = root / "a5.btrace"
+    assert main(["generate", "--profile", "A5", "--hours", "0.2",
+                 "--seed", "5", "-o", str(btrace)]) == 0
+    corpus = root / "a5.bcorpus"
+    pack_trace(str(btrace), str(corpus), segment_events=500)
+    return str(btrace), str(corpus), read_binary(str(btrace))
+
+
+@pytest.mark.parametrize(
+    "wanted",
+    ["activity", "sequentiality", "opentimes", "sizes", "lifetimes",
+     "users", "burstiness", "all"],
+)
+@pytest.mark.parametrize("kind", ["btrace", "bcorpus"])
+def test_analyze_section_matches_reference(binary_and_corpus, capsys,
+                                           wanted, kind):
+    btrace, corpus, log = binary_and_corpus
+    path = btrace if kind == "btrace" else corpus
+    assert main(["analyze", path, "--report", wanted]) == 0
+    assert capsys.readouterr().out == _reference_section(log, wanted) + "\n"
+
+
 class TestSimulation:
     def test_simulate(self, trace_file, capsys):
         rc = main(["simulate", trace_file, "--cache-mb", "1",

@@ -8,7 +8,8 @@ Coverage map:
 * diagnostics: every corruption is a :class:`CorpusError` naming a byte
   offset — never a bare ``struct.error`` / ``IndexError``;
 * streaming: ``analyze_corpus`` / ``validate_corpus`` field-identical to
-  the in-RAM references;
+  the in-RAM references, on both engines and on every input the numpy
+  analyzer declines;
 * parallel: ``map_segments`` deterministic across job counts;
 * spool: the ``TraceSpool``-shaped sink contract;
 * CLI: ``corpus pack/info/verify`` plus ``validate``/``analyze`` on
@@ -17,7 +18,6 @@ Coverage map:
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import random
 import struct
@@ -25,7 +25,8 @@ import zlib
 
 import pytest
 
-from repro.analysis.onepass import analyze_onepass
+from repro.analysis.onepass import analyze_onepass, reference_report
+from repro.analysis.vectorized import VectorFallback, VectorizedCollector
 from repro.cli.main import main
 from repro.corpus import (
     CorpusError,
@@ -53,11 +54,13 @@ from repro.corpus.format import (
 )
 from repro.corpus.stream import analyze_corpus
 from repro.fuzz.gen import random_trace
-from repro.trace.columns import TraceColumns
+from repro.trace.columns import KIND_OPEN, TraceColumns
 from repro.trace.io_binary import write_binary
 from repro.trace.log import TraceLog
 from repro.trace.records import CloseEvent, UnlinkEvent
 from repro.trace.validate import validate_columns
+
+from .conftest import assert_same_report
 
 SEG = 8  # tiny segments so small traces span many of them
 
@@ -351,15 +354,64 @@ class TestStreaming:
         cols = TraceColumns.from_log(log)
         with CorpusReader(pack_bytes(log)) as reader:
             streamed = analyze_corpus(reader)
-        in_ram = analyze_onepass(cols)
-        for f in dataclasses.fields(in_ram):
-            assert getattr(streamed, f.name) == getattr(in_ram, f.name), f.name
+        assert_same_report(streamed, analyze_onepass(cols))
 
     def test_analyze_corpus_from_path(self, tmp_path):
         log = fuzz_log("stream-path", 60)
         path = tmp_path / "t.bcorpus"
         pack_columns(TraceColumns.from_log(log), path, segment_events=SEG)
         assert analyze_corpus(path).render() == analyze_onepass(log).render()
+
+    def test_analyze_corpus_python_engine_matches_numpy(self):
+        log = fuzz_log("stream-python", 120)
+        with CorpusReader(pack_bytes(log)) as reader:
+            fast = analyze_corpus(reader, engine="numpy")
+            ref = analyze_corpus(reader, engine="python")
+        assert "_lazy" not in vars(ref)  # the reference ran
+        assert_same_report(fast, ref)
+        assert_same_report(ref, reference_report(log))
+
+    @pytest.mark.parametrize("spoil, why", [
+        ("regress", "chunk times regress"),
+        ("unsorted", "unsorted timestamps"),
+    ])
+    def test_declined_corpus_returns_reference(self, spoil, why):
+        cols = TraceColumns.from_log(fuzz_log(f"stream-{spoil}", 120))
+        times = cols.times
+        if spoil == "regress":
+            # Every segment stays sorted, but the second one starts
+            # before the first ends (and not before the trace start).
+            assert times[SEG - 1] > times[0]
+            delta = times[SEG] - times[0]
+            for i in range(SEG, len(times)):
+                times[i] -= delta
+        else:
+            assert times[2] > times[1]
+            times[1], times[2] = times[2], times[1]
+        buf = io.BytesIO()
+        pack_columns(cols, buf, segment_events=SEG)
+        with CorpusReader(buf.getvalue()) as reader:
+            collector = VectorizedCollector(reader)
+            with pytest.raises(VectorFallback, match=why):
+                for segment in reader.iter_segments():
+                    collector.feed(segment)
+            streamed = analyze_corpus(reader)
+            reference = reference_report(reader.to_columns().to_log())
+        assert_same_report(streamed, reference)
+        assert_same_report(analyze_onepass(cols), reference)
+
+    def test_open_without_mode_bits_is_rejected_by_the_reference(self):
+        # The corpus layer stores the flag byte as given; the engine
+        # declines such an open and the reference cannot materialize it.
+        cols = TraceColumns.from_log(fuzz_log("stream-mode0", 60))
+        cols.flags = bytearray(cols.flags)
+        cols.flags[cols.kinds.index(KIND_OPEN)] = 0
+        buf = io.BytesIO()
+        pack_columns(cols, buf, segment_events=SEG)
+        with pytest.raises(ValueError, match="AccessMode"):
+            analyze_corpus(buf.getvalue())
+        with pytest.raises(ValueError, match="AccessMode"):
+            analyze_onepass(cols)
 
     def test_analyze_empty_corpus(self):
         buf = io.BytesIO()

@@ -1,9 +1,9 @@
-"""Differential tests: the fused one-pass analyzer must be bit-identical
-to the per-module reference functions it replaces.
+"""Differential tests: ``analyze_onepass`` must be bit-identical to the
+per-module reference functions, on every engine and every fallback.
 
-The per-module analyses stay in the tree precisely so these tests can
-compare against them; any divergence — even in the last bit of a float —
-is a bug in the fast path.
+The per-module analyses are the spec and the oracle; any divergence —
+even in the last bit of a float — is a bug in the numpy engine.  The
+fallback and memo tests pin how the one entry point picks its path.
 """
 
 import pytest
@@ -16,12 +16,13 @@ from repro.analysis.lifetimes import (
     daemon_spike_fraction,
     lifetime_cdfs,
 )
-from repro.analysis.onepass import analyze_onepass
+from repro.analysis.onepass import analyze_onepass, reference_report
 from repro.analysis.opentimes import open_time_cdf, open_time_summary
 from repro.analysis.popularity import analyze_popularity
 from repro.analysis.sequentiality import analyze_sequentiality, run_length_cdfs
 from repro.analysis.sizes import file_size_cdfs, size_summary
 from repro.analysis.users import per_user_summary, render_user_table
+from repro.analysis.vectorized import VectorFallback, analyze_columns_numpy
 from repro.trace.columns import TraceColumns
 from repro.trace.log import TraceLog
 from repro.trace.records import (
@@ -35,11 +36,11 @@ from repro.trace.records import (
     UnlinkEvent,
 )
 
-from .conftest import make_simple_trace
+from .conftest import assert_same_report, make_simple_trace
 
 
 def assert_matches_reference(log: TraceLog, source=None) -> None:
-    """Field-for-field equality between the fused pass and the nine
+    """Field-for-field equality between ``analyze_onepass`` and the nine
     reference analyses, with no tolerance."""
     r = analyze_onepass(log if source is None else source)
 
@@ -193,3 +194,95 @@ def test_simple_trace_spot_checks():
     whole = [a for a in r.accesses if a.whole_file]
     assert len(whole) >= 1
     assert set(r.users) == {1, 2}
+
+
+def _unsorted_log() -> TraceLog:
+    # Built with the dataclass constructor, which (unlike from_events)
+    # keeps the given order: one open lands after a later close.
+    events = list(make_simple_trace().events)
+    events[1], events[2] = events[2], events[1]
+    assert events[1].time > events[2].time
+    return TraceLog(name="unsorted", events=events)
+
+
+def _huge_size_log() -> TraceLog:
+    # Sizes past 2**53 leave the float64-exact window the engine needs.
+    return TraceLog.from_events(
+        name="huge",
+        events=[
+            OpenEvent(time=0.0, open_id=1, file_id=5, user_id=1,
+                      size=2**60, mode=AccessMode.READ_WRITE),
+            SeekEvent(time=0.2, open_id=1, prev_pos=0, new_pos=2**55),
+            CloseEvent(time=0.4, open_id=1, final_pos=2**55 + 4096),
+        ],
+    )
+
+
+class TestFallback:
+    """Inputs the numpy engine declines come back as the reference report."""
+
+    @pytest.mark.parametrize(
+        "make_log, why",
+        [(_unsorted_log, "unsorted"), (_huge_size_log, "float64-exact")],
+    )
+    def test_declined_input_returns_reference(self, make_log, why):
+        log = make_log()
+        cols = TraceColumns.from_log(log)
+        with pytest.raises(VectorFallback, match=why):
+            analyze_columns_numpy(cols)
+        assert_matches_reference(log)
+        assert_matches_reference(log, source=cols)
+        reference = reference_report(log)
+        for engine in ("auto", "numpy", "python"):
+            assert_same_report(analyze_onepass(cols, engine=engine), reference)
+
+    def test_open_without_mode_bits_is_rejected_by_the_reference(self):
+        # Only hand-built columns (or a corpus packed from them) carry an
+        # open row with no mode bits; the engine declines it and the
+        # reference cannot materialize it as an OpenEvent.
+        cols = TraceColumns.from_log(make_simple_trace())
+        cols.flags = bytearray(cols.flags)
+        cols.flags[0] = 0
+        with pytest.raises(VectorFallback, match="no mode bits"):
+            analyze_columns_numpy(cols)
+        with pytest.raises(ValueError, match="AccessMode"):
+            analyze_onepass(cols)
+
+
+class TestMemo:
+    def test_second_call_returns_the_memoized_report(self):
+        log = make_simple_trace()
+        assert analyze_onepass(log) is analyze_onepass(log)
+        assert analyze_onepass(log, engine="auto") is analyze_onepass(
+            log, engine="numpy"
+        )
+
+    def test_engines_do_not_share_an_entry(self):
+        log = make_simple_trace()
+        python = analyze_onepass(log, engine="python")
+        numpy = analyze_onepass(log, engine="numpy")
+        assert python is not numpy
+        assert "_lazy" not in vars(python)  # built by the reference
+        assert "_lazy" in vars(numpy)  # built by the numpy engine
+        assert analyze_onepass(log, engine="python") is python
+        assert_same_report(numpy, python)
+
+    def test_windows_are_part_of_the_key(self):
+        log = make_simple_trace()
+        default = analyze_onepass(log)
+        custom = analyze_onepass(log, burst_window=2.0)
+        assert custom is not default
+        assert custom.burstiness == analyze_burstiness(log, window=2.0)
+
+    def test_appending_an_event_invalidates_the_entry(self):
+        log = make_simple_trace()
+        before = analyze_onepass(log)
+        log.append(ExecEvent(time=log.end_time + 1.0, file_id=8, user_id=9,
+                             size=1024))
+        after = analyze_onepass(log)
+        assert after is not before
+        assert 9 in after.users
+
+    def test_columns_are_not_memoized(self):
+        cols = TraceColumns.from_log(make_simple_trace())
+        assert analyze_onepass(cols) is not analyze_onepass(cols)
